@@ -4,8 +4,6 @@ type 'a t = { mutable state : 'a state }
 
 let create () = { state = Empty [] }
 
-let is_full t = match t.state with Full _ -> true | Empty _ -> false
-
 let peek t = match t.state with Full v -> Some v | Empty _ -> None
 
 let fill t v =

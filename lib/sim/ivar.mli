@@ -21,4 +21,3 @@ val on_fill : 'a t -> ('a -> unit) -> unit
     Unlike {!read} this does not require a process context. *)
 
 val peek : 'a t -> 'a option
-val is_full : 'a t -> bool

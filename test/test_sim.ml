@@ -45,6 +45,37 @@ let heap_qcheck =
       in
       drain [] = List.sort compare keys)
 
+(* A popped value must not stay reachable from a vacated slot. Values are
+   built and pushed in a function of their own so that no stack slot of
+   the test keeps them alive. With keys 1..4 pushed in order, the third
+   pop leaves the key-3 value behind in slot 2 unless slots are cleared. *)
+let push_tracked h w =
+  for key = 1 to Weak.length w do
+    let v = ref key in
+    Weak.set w (key - 1) (Some v);
+    Heap.push h ~key ~seq:key v
+  done
+
+let heap_releases_popped () =
+  let h = Heap.create ~dummy:(ref 0) () in
+  let w = Weak.create 4 in
+  push_tracked h w;
+  for key = 1 to 3 do
+    match Heap.pop h with Some (k, _) -> check_int "pop order" key k | None -> assert false
+  done;
+  Gc.full_major ();
+  for key = 1 to 3 do
+    check_bool (Printf.sprintf "popped value %d collected" key) false (Weak.check w (key - 1))
+  done;
+  check_bool "queued value kept" true (Weak.check w 3);
+  check_int "one left" 1 (Heap.length h)
+
+let heap_floats () =
+  let h = Heap.create ~dummy:0. () in
+  List.iteri (fun i x -> Heap.push h ~key:(int_of_float x) ~seq:i x) [ 3.5; 1.5; 2.5 ];
+  let rec drain acc = match Heap.pop h with Some (_, x) -> drain (x :: acc) | None -> List.rev acc in
+  Alcotest.(check (list (float 0.))) "float values" [ 1.5; 2.5; 3.5 ] (drain [])
+
 (* {1 Engine} *)
 
 let engine_ordering () =
@@ -81,6 +112,164 @@ let engine_past_clamped () =
       Engine.schedule e ~at:Time.zero (fun () ->
           check_int "clamped to now" (Time.to_ns (Time.ms 1)) (Time.to_ns (Engine.now e))));
   Engine.run e
+
+(* Order model: a program is a forest of events; each event, when it
+   runs, schedules its children at an offset from the current instant
+   (negative offsets are in the past and clamp to [now]) and may call
+   [stop]. The engine is driven by a series of [run ~until] calls and a
+   final unbounded [run]. The reference is a plain list sorted by
+   (clamped instant, scheduling order), with [run]'s documented [until]
+   and [stop] rules; execution order, instants, [pending] inside each
+   event and the clock and [pending] after each [run] must all agree. *)
+type prog_node = { id : int; offset : int; stops : bool; kids : prog_node list }
+type prog_shape = Shape of int * bool * prog_shape list
+
+let prog_gen =
+  let open QCheck.Gen in
+  let offset = frequency [ (3, return 0); (2, int_range (-3) (-1)); (4, int_range 1 6) ] in
+  let node =
+    fix (fun self depth ->
+        let* offset = offset in
+        let* stops = frequency [ (1, return true); (12, return false) ] in
+        let* kids = if depth = 0 then return [] else list_size (int_bound 3) (self (depth - 1)) in
+        return (Shape (offset, stops, kids)))
+  in
+  let* roots = list_size (int_range 1 6) (node 3) in
+  let* untils = list_size (int_bound 4) (int_bound 30) in
+  let next = ref 0 in
+  let rec number (Shape (offset, stops, kids)) =
+    let id = !next in
+    incr next;
+    { id; offset; stops; kids = List.map number kids }
+  in
+  return (List.map number roots, untils)
+
+(* each log entry: event id, instant it ran at, pending while it ran *)
+type log = { mutable events : (int * int * int) list; mutable checkpoints : (int * int) list }
+
+let run_engine (roots, untils) =
+  let e = Engine.create () in
+  let log = { events = []; checkpoints = [] } in
+  let rec schedule node =
+    Engine.schedule e ~at:(Time.add (Engine.now e) node.offset) (fun () ->
+        log.events <- (node.id, Engine.now e, Engine.pending e) :: log.events;
+        List.iter schedule node.kids;
+        if node.stops then Engine.stop e)
+  in
+  List.iter schedule roots;
+  let checkpoint () = log.checkpoints <- (Engine.now e, Engine.pending e) :: log.checkpoints in
+  List.iter
+    (fun u ->
+      Engine.run ~until:u e;
+      checkpoint ())
+    untils;
+  (* an unbounded run ends at a [stop] or an empty queue: resume until empty *)
+  while Engine.pending e > 0 do
+    Engine.run e;
+    checkpoint ()
+  done;
+  log
+
+let run_model (roots, untils) =
+  let now = ref 0 and order = ref 0 and stopped = ref false in
+  let queue = ref [] in
+  let log = { events = []; checkpoints = [] } in
+  let schedule node =
+    incr order;
+    queue := (max !now (!now + node.offset), !order, node) :: !queue
+  in
+  let earliest () =
+    List.fold_left
+      (fun best ((at, o, _) as x) ->
+        match best with
+        | Some (bat, bo, _) when bat < at || (bat = at && bo < o) -> best
+        | _ -> Some x)
+      None !queue
+  in
+  let run until =
+    stopped := false;
+    let continue = ref true in
+    while !continue && not !stopped do
+      match earliest () with
+      | None -> continue := false
+      | Some (at, _, _) when (match until with Some l -> at > l | None -> false) ->
+          now := Option.get until;
+          continue := false
+      | Some ((at, _, node) as x) ->
+          queue := List.filter (fun y -> y != x) !queue;
+          now := at;
+          log.events <- (node.id, !now, List.length !queue) :: log.events;
+          List.iter schedule node.kids;
+          if node.stops then stopped := true
+    done;
+    (match until with Some l when !now < l && not !stopped -> now := l | _ -> ());
+    log.checkpoints <- (!now, List.length !queue) :: log.checkpoints
+  in
+  List.iter schedule roots;
+  List.iter (fun u -> run (Some u)) untils;
+  while !queue <> [] do
+    run None
+  done;
+  log
+
+let engine_order_model =
+  QCheck.Test.make ~name:"engine order matches (instant, scheduling order) model" ~count:500
+    (QCheck.make prog_gen) (fun prog ->
+      let a = run_engine prog and b = run_model prog in
+      a.events = b.events && a.checkpoints = b.checkpoints)
+
+(* A finished event's closure must not stay reachable from the lane or
+   the heap. *)
+let schedule_tracked e ~at w =
+  let v = ref 0 in
+  Weak.set w 0 (Some v);
+  Engine.schedule e ~at (fun () -> incr v)
+
+let engine_releases_finished () =
+  let e = Engine.create () in
+  let lane = Weak.create 1 and heap = Weak.create 1 in
+  schedule_tracked e ~at:(Engine.now e) lane;
+  schedule_tracked e ~at:(Time.us 1) heap;
+  (* a later event keeps the heap non-empty *)
+  Engine.schedule e ~at:(Time.us 5) (fun () -> ());
+  Engine.run ~until:(Time.us 2) e;
+  Gc.full_major ();
+  check_bool "lane event collected" false (Weak.check lane 0);
+  check_bool "heap event collected" false (Weak.check heap 0);
+  check_int "later event still queued" 1 (Engine.pending e)
+
+(* Words per event: once the lane and the heap have grown, dispatching a
+   preallocated closure allocates nothing in the engine or the heap. *)
+let engine_zero_alloc () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let tick () = incr fired in
+  let n = 1000 in
+  let via_lane () =
+    for _ = 1 to n do
+      Engine.schedule e ~at:(Engine.now e) tick
+    done;
+    Engine.run e
+  in
+  let via_heap () =
+    for i = 1 to n do
+      Engine.schedule_in e ~after:(Time.ns (i mod 7)) tick
+    done;
+    Engine.run e
+  in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  via_lane ();
+  via_heap ();
+  let base = words (fun () -> ()) in
+  let lane = (words via_lane -. base) /. float_of_int n in
+  let heap = (words via_heap -. base) /. float_of_int n in
+  Alcotest.(check (float 0.)) "lane words/event" 0. lane;
+  Alcotest.(check (float 0.)) "heap words/event" 0. heap;
+  check_int "every event ran" (4 * n) !fired
 
 (* {1 Processes} *)
 
@@ -289,13 +478,22 @@ let qtest = QCheck_alcotest.to_alcotest
 let suites =
   [
     ( "sim.heap",
-      [ test "sorted pops" heap_sorted; test "fifo ties" heap_fifo_ties; qtest heap_qcheck ] );
+      [
+        test "sorted pops" heap_sorted;
+        test "fifo ties" heap_fifo_ties;
+        qtest heap_qcheck;
+        test "popped value released" heap_releases_popped;
+        test "float values" heap_floats;
+      ] );
     ( "sim.engine",
       [
         test "time ordering" engine_ordering;
         test "run until" engine_until;
         test "same-time fifo" engine_same_time_fifo;
         test "past clamped" engine_past_clamped;
+        qtest engine_order_model;
+        test "finished events released" engine_releases_finished;
+        test "zero words per event" engine_zero_alloc;
       ] );
     ( "sim.proc",
       [
