@@ -19,11 +19,24 @@ let header fig paper =
    thereafter. *)
 let jobs = ref (Domain_pool.default_jobs ())
 
-(* Global flags for the engine-scaling bench (set by bench/main.ml): run
-   the short CI sizes only, and/or compare against a checked-in baseline
-   JSON instead of writing a fresh one. *)
+(* Global flags (set by bench/main.ml): run the short smoke sizes only
+   (which also suppresses artifact writes, see [write_artifact]), and/or
+   compare against a checked-in baseline JSON instead of writing a fresh
+   one. *)
 let smoke = ref false
 let check_baseline : string option ref = ref None
+
+(* Write a checked-in artifact ([BENCH_*.json]) by running [write] on its
+   channel. A smoke run measures a reduced configuration, so it must never
+   replace a full baseline: under --smoke nothing is written. *)
+let write_artifact file (write : out_channel -> unit) =
+  if !smoke then Fmt.pr "smoke run: %s not written@." file
+  else begin
+    let oc = open_out file in
+    write oc;
+    close_out oc;
+    Fmt.pr "wrote %s@." file
+  end
 
 (* Run [f] over [configs] on the domain pool; results come back in config
    order, and an exception from a config re-raises in config order, as the

@@ -239,8 +239,7 @@ let json_ns kvs =
        (fun (name, ns) -> Printf.sprintf "\"%s\":%d" (Failure_bench.json_escape name) ns)
        kvs)
 
-let write_json file results =
-  let oc = open_out file in
+let write_json results oc =
   Printf.fprintf oc "{\"bench\":\"blame\",\"scenarios\":[";
   List.iteri
     (fun i r ->
@@ -259,8 +258,7 @@ let write_json file results =
                   h.Cluster.h_conflict)
               r.r_heat)))
     results;
-  Printf.fprintf oc "]}\n";
-  close_out oc
+  Printf.fprintf oc "]}\n"
 
 let run ?(smoke = false) () =
   Bench_util.header "Latency attribution (blame categories, heat, critical paths)"
@@ -280,7 +278,4 @@ let run ?(smoke = false) () =
   List.iter (fun r -> print_string r.r_block) results;
   Fmt.pr "exclusivity: blame sums match phase sums to the ns in all %d scenarios@."
     (List.length results);
-  if not smoke then begin
-    write_json "BENCH_blame.json" results;
-    Fmt.pr "wrote BENCH_blame.json@."
-  end
+  Bench_util.write_artifact "BENCH_blame.json" (write_json results)

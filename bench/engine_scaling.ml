@@ -288,7 +288,5 @@ let run ?(smoke = false) ?check_baseline () =
       end
   | None ->
       let json = json ~smoke ~micro_bytes rows in
-      let oc = open_out "BENCH_engine_scaling.json" in
-      output_string oc (json ^ "\n");
-      close_out oc;
-      Fmt.pr "wrote BENCH_engine_scaling.json@.")
+      Bench_util.write_artifact "BENCH_engine_scaling.json" (fun oc ->
+          output_string oc (json ^ "\n")))

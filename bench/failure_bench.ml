@@ -125,13 +125,12 @@ let write_timeline_json file spec c ~kill_abs =
   let rows = merged_commits c in
   let kill_ns = Time.to_ns kill_abs in
   let pre_sum, pre_bins, rec90 = recovery_analysis rows ~kill_ns in
-  let oc = open_out file in
-  Printf.fprintf oc
-    "{\"bench\":\"failure_timeline\",\"label\":\"%s\",\"kill_ns\":%d,\"pre_failure_commits\":{\"window_bins\":%d,\"total\":%d},\"recovery_90_ns\":%s,\"timeline\":%s}\n"
-    (json_escape spec.label) kill_ns pre_bins pre_sum
-    (match rec90 with Some t -> string_of_int t | None -> "null")
-    (String.trim (Cluster.timeline_dump c));
-  close_out oc;
+  Bench_util.write_artifact file (fun oc ->
+      Printf.fprintf oc
+        "{\"bench\":\"failure_timeline\",\"label\":\"%s\",\"kill_ns\":%d,\"pre_failure_commits\":{\"window_bins\":%d,\"total\":%d},\"recovery_90_ns\":%s,\"timeline\":%s}\n"
+        (json_escape spec.label) kill_ns pre_bins pre_sum
+        (match rec90 with Some t -> string_of_int t | None -> "null")
+        (String.trim (Cluster.timeline_dump c)));
   rec90
 
 let first_milestone c tag ~after =

@@ -33,7 +33,7 @@ let experiments : (string * string * (unit -> unit)) list =
         Engine_scaling.run ~smoke:!Bench_util.smoke
           ?check_baseline:!Bench_util.check_baseline () );
     ( "batching",
-      "batched vs unbatched commit pipeline (doorbell batching)",
+      "batched vs unbatched verb cost on the commit pipeline (doorbell batching)",
       fun () -> ignore (Commit_batching.run ()) );
     ( "opacity",
       "validate-at-commit vs snapshot protocol on contended YCSB-B/C",

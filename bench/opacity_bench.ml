@@ -214,8 +214,5 @@ let run ?(machines = 6) ?(workers = 8) ?(duration = Time.ms 30) () =
     results;
   Fmt.pr "@.snapshot invariants: zero read-only aborts, zero VALIDATE phases — ok@.";
   let json = json_of ~machines ~workers ~duration results in
-  let oc = open_out "BENCH_opacity.json" in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Fmt.pr "wrote BENCH_opacity.json@.";
+  Bench_util.write_artifact "BENCH_opacity.json" (fun oc -> output_string oc (json ^ "\n"));
   results

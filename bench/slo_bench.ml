@@ -228,8 +228,7 @@ let json_blame blame =
        (fun (name, ns) -> Printf.sprintf "\"%s\":%d" (Failure_bench.json_escape name) ns)
        blame)
 
-let write_json file results =
-  let oc = open_out file in
+let write_json results oc =
   Printf.fprintf oc "{\"bench\":\"slo\",\"scenarios\":[";
   List.iteri
     (fun i r ->
@@ -245,8 +244,7 @@ let write_json file results =
         (String.concat ","
            (List.map (fun v -> "\"" ^ Failure_bench.json_escape v ^ "\"") r.r_violations)))
     results;
-  Printf.fprintf oc "]}\n";
-  close_out oc
+  Printf.fprintf oc "]}\n"
 
 (* {1 Baseline regression check (CI)}
 
@@ -334,8 +332,4 @@ let run ?(smoke = false) ?check_baseline () =
         Fmt.epr "slo: SLO regression against %s@." file;
         exit 1
       end
-  | None ->
-      if not smoke then begin
-        write_json "BENCH_slo.json" results;
-        Fmt.pr "wrote BENCH_slo.json@."
-      end
+  | None -> Bench_util.write_artifact "BENCH_slo.json" (write_json results)

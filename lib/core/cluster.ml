@@ -131,8 +131,6 @@ let kill_domain t d =
 
 let kill_cm t = kill t t.machines.(0).State.config.Config.cm
 
-let wipe_nvram t id = Farm_nvram.Bank.wipe t.machines.(id).State.nv.bank
-
 (* {1 Full-cluster power failure (§5)}
 
    "We provide durability for all committed transactions even if the entire

@@ -48,7 +48,6 @@ val kill_domain : t -> int -> unit
 (** Crash every machine of one failure domain (a rack/switch failure). *)
 
 val kill_cm : t -> unit
-val wipe_nvram : t -> int -> unit
 
 val restart_machine : ?rejoining:bool -> t -> int -> config:Config.t -> State.t
 (** Boot a dead machine's FaRM process again on top of its surviving
@@ -130,9 +129,6 @@ val merged_counters : t -> (string * int) list
 val merged_phase_hists : t -> (string * Stats.Hist.t) list
 (** Commit-phase latency histograms (ns) of committed transactions, merged
     across machines; phases that never ran are omitted. *)
-
-val merged_stage_hists : t -> (string * Stats.Hist.t) list
-(** Recovery-stage timing histograms (ns), merged across machines. *)
 
 val flight_dump : t -> string list
 (** Every machine's flight-recorder ring merged into one time-sorted,

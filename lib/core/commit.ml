@@ -17,8 +17,8 @@ open Farm_sim
    group (Fabric.one_sided_write_batch_fn via Logio.append_prepared): the
    NIC is rung once per phase and the completions reaped together, so a
    multi-participant commit pays ~one issue/poll instead of one per
-   participant. Params.doorbell_batching restores the unbatched pipeline
-   for ablation.
+   participant. The unbatched ablation is a CPU cost setting of the same
+   pipeline (DESIGN.md), not a second code path.
 
    Allocation discipline (DESIGN.md): all per-commit scratch — the write
    items staged in address order, region-id sets, per-destination
@@ -38,6 +38,8 @@ open Farm_sim
    recovery protocol's vote/decide outcome, which arrives on
    [lt_outcome]. *)
 
+(* Wait for a protocol completion or the recovery outcome, whichever
+   first. *)
 type 'a race = Normal of 'a | Recovered of State.outcome
 
 let race_outcome (lt : State.tx_live) (iv : 'a Ivar.t) : 'a race =
@@ -136,27 +138,6 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
         done
       end
     in
-    (* Ablation path: the pre-batching pipeline read each small group's
-       headers serially, one full-cost verb at a time. *)
-    let unbatched_jobs () =
-      let jobs = ref [] in
-      for gi = ar.Arena.vgroups.Arena.live - 1 downto 0 do
-        let g = Arena.group ar.Arena.vgroups gi in
-        if Arena.Vec.length g.Arena.g_items <= tr then
-          jobs :=
-            (fun () ->
-              Arena.Vec.iter
-                (fun i ->
-                  if !ok then
-                    let addr = Arena.Vec.get ar.Arena.ro_addr i in
-                    match read_header_at st ~dst:g.Arena.g_dst ~addr with
-                    | Ok h -> check_header (Arena.Vec.get ar.Arena.ro_ver i) h
-                    | Error _ -> ok := false)
-                g.Arena.g_items)
-            :: !jobs
-      done;
-      !jobs
-    in
     (* RPC groups above tr are rare; their item lists are freshly built
        because a timed-out RPC can still be in flight when the caller
        resumes — arena-owned storage must never ride a message. *)
@@ -188,26 +169,12 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
       done;
       !jobs
     in
-    (match (rpc_jobs, st.State.params.Params.doorbell_batching) with
+    (match rpc_jobs with
     (* common case: every group under tr, one batch, no process spawns *)
-    | [], true -> run_rdma_batched ?span ()
-    | jobs, true -> Comms.par_iter st ((fun () -> run_rdma_batched ()) :: jobs)
-    | jobs, false -> Comms.par_iter st (unbatched_jobs () @ jobs));
+    | [] -> run_rdma_batched ?span ()
+    | jobs -> Comms.par_iter st ((fun () -> run_rdma_batched ()) :: jobs));
     !ok
   end
-
-(* List-based entry point (kept for callers outside the commit path): stage
-   into a pooled arena and validate. *)
-let validate st ~txid (reads : (Addr.t * int) list) =
-  let ar = Arena.acquire st.State.arena_pool in
-  List.iter
-    (fun ((addr : Addr.t), version) ->
-      Arena.Vec.push ar.Arena.ro_addr addr;
-      Arena.Vec.push ar.Arena.ro_ver version)
-    reads;
-  let ok = validate_ar st ar ~txid in
-  Arena.release st.State.arena_pool ar;
-  ok
 
 (* {1 The commit path} *)
 

@@ -12,8 +12,6 @@ open Farm_sim
    16 bytes for the piggybacked id plus 8 bytes of marker slack. *)
 let trunc_allowance = 24
 
-let base_bytes payload = Wire.payload_bytes payload + 8
-
 (* Trace slice for one acked log write, on the issuing worker's track,
    carrying the outgoing flow that its remote processing will close. *)
 let trace_append st ~thread ~dst ~t0 payload =
@@ -28,10 +26,11 @@ let trace_append st ~thread ~dst ~t0 payload =
           ~start:t0 ~arg:dst ~txm:id.Txid.machine ~txt:id.Txid.thread
           ~txl:id.Txid.local ~flow_in:0 ~flow_out:(Wire.record_flow payload ~dst)
 
-(* Append a record, draining this machine's pending truncations for [dst]
-   into its piggyback fields. Consumes reservation for the full record and
-   releases the slack of each piggybacked truncation allowance. *)
-let append st ~dst ~thread payload : (int, Farm_net.Fabric.error) result =
+(* Build the record for [dst], draining this machine's pending truncations
+   for [dst] into its piggyback fields. Consumes reservation for the full
+   record and releases the slack of each piggybacked truncation allowance.
+   Returns the record and its wire size. *)
+let prepare st ~dst ~thread payload =
   let truncations = State.take_truncations st ~dst in
   let record =
     {
@@ -45,123 +44,71 @@ let append st ~dst ~thread payload : (int, Farm_net.Fabric.error) result =
   let size = Wire.record_bytes record in
   Ringlog.consume_reservation log size;
   Ringlog.unreserve log (8 * List.length truncations);
-  let t0 = Time.to_ns (Engine.now st.State.engine) in
-  match
-    Farm_net.Fabric.one_sided_write st.State.fabric ~src:st.State.id ~dst ~bytes:size (fun () ->
-        Ringlog.dma_append log record ~size)
-  with
+  (record, size)
+
+(* Bookkeeping once the write of [record] to [dst] has acked or failed. *)
+let settle st ~dst ~size (record : Wire.log_record) r =
+  match r with
   | Ok () ->
       Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_log_append;
       Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_log_append ~a:dst ~b:size
-        ~c:(Ringlog.used log);
-      trace_append st ~thread ~dst ~t0 payload;
+        ~c:(Ringlog.used (State.log_to st dst));
       (* The caller's own share of the consumed space: piggybacked
          truncation entries are paid for by the truncated transactions'
          allowances. *)
-      Ok (size - (16 * List.length truncations))
+      Ok (size - (16 * List.length record.Wire.truncations))
   | Error e ->
       Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_log_append_fail;
       Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_log_append_fail ~a:dst ~b:size ~c:0;
       (* The destination is gone; requeue the truncations so another record
          (or the flusher) carries them once the configuration settles. *)
-      List.iter (fun txid -> State.queue_truncation st ~dst txid) truncations;
+      List.iter (fun txid -> State.queue_truncation st ~dst txid) record.Wire.truncations;
       Error e
 
+(* Append one record as a single verb, blocking until the receiver NIC's
+   hardware ack. *)
+let append st ~dst ~thread payload : (int, Farm_net.Fabric.error) result =
+  let record, size = prepare st ~dst ~thread payload in
+  let log = State.log_to st dst in
+  let t0 = Time.to_ns (Engine.now st.State.engine) in
+  let r =
+    settle st ~dst ~size record
+      (Farm_net.Fabric.one_sided_write st.State.fabric ~src:st.State.id ~dst ~bytes:size
+         (fun () -> Ringlog.dma_append log record ~size))
+  in
+  if Result.is_ok r then trace_append st ~thread ~dst ~t0 payload;
+  r
+
 (* Append one record per destination as a single doorbell-batched verb
-   group: pending truncations for every destination are drained under one
-   preparation pass (reservations consumed, piggyback slack released), then
-   all writes go out with one issue + per-op doorbells and one completion
-   reap. [on_complete i r] fires at record [i]'s individual hardware-ack
-   (or failure) instant — COMMIT-PRIMARY's first-ack hook.
+   group: every record is prepared first, then all writes go out with one
+   issue + per-op doorbells and one completion reap. [on_complete i r]
+   fires at record [i]'s individual hardware-ack (or failure) instant —
+   COMMIT-PRIMARY's first-ack hook.
 
    The batch is described by indexed accessors rather than a list so the
    commit path can stage it in its reused arena: [dst i] / [payload i] for
-   [0 <= i < n]. [append_batch] below is the list veneer.
-
-   With [doorbell_batching] off this degrades to the pre-batching pipeline:
-   one full-cost one-sided write per record, issued by parallel processes,
-   each paying its own issue and poll — the ablation baseline. *)
+   [0 <= i < n]. *)
 let append_prepared ?span ?on_complete st ~thread ~n ~(dst : int -> int)
     ~(payload : int -> Wire.record) : (int, Farm_net.Fabric.error) result array =
   let sizes = Array.make (max n 1) 0 in
   let recs =
     Array.init n (fun i ->
-        let d = dst i in
-        let truncations = State.take_truncations st ~dst:d in
-        let record =
-          {
-            Wire.payload = payload i;
-            truncations;
-            low_bound = State.low_bound st ~thread;
-            cfg = st.State.config.Config.id;
-          }
-        in
-        let log = State.log_to st d in
-        let size = Wire.record_bytes record in
+        let record, size = prepare st ~dst:(dst i) ~thread (payload i) in
         sizes.(i) <- size;
-        Ringlog.consume_reservation log size;
-        Ringlog.unreserve log (8 * List.length truncations);
         record)
   in
   let t0 = Time.to_ns (Engine.now st.State.engine) in
   (* Per-op trace slices are emitted from the completion hook so each one
      ends at its own hardware-ack instant, not at the batch-wide reap. *)
   let on_complete i r =
-    (match r with
-    | Ok () -> trace_append st ~thread ~dst:(dst i) ~t0 recs.(i).Wire.payload
-    | Error _ -> ());
+    if Result.is_ok r then trace_append st ~thread ~dst:(dst i) ~t0 recs.(i).Wire.payload;
     match on_complete with Some f -> f i r | None -> ()
   in
-  let results =
-    if st.State.params.Params.doorbell_batching then
-      Farm_net.Fabric.one_sided_write_batch_fn ?span ~on_complete st.State.fabric
-        ~src:st.State.id ~n ~dst
-        ~bytes:(fun i -> sizes.(i))
-        ~apply:(fun i ->
-          Ringlog.dma_append (State.log_to st (dst i)) recs.(i) ~size:sizes.(i))
-    else begin
-      (* unbatched ablation: the writes run in spawned child processes, so
-         their time is not this process's to claim — it falls to the
-         enclosing phase's default category *)
-      let results = Array.make n (Ok ()) in
-      Comms.par_iter st
-        (List.init n (fun i () ->
-             let d = dst i in
-             let size = sizes.(i) in
-             let log = State.log_to st d in
-             let r =
-               Farm_net.Fabric.one_sided_write st.State.fabric ~src:st.State.id ~dst:d
-                 ~bytes:size (fun () -> Ringlog.dma_append log recs.(i) ~size)
-             in
-             results.(i) <- r;
-             on_complete i r));
-      results
-    end
-  in
-  Array.mapi
-    (fun i r ->
-      let d = dst i in
-      let size = sizes.(i) in
-      match r with
-      | Ok () ->
-          Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_log_append;
-          Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_log_append ~a:d ~b:size
-            ~c:(Ringlog.used (State.log_to st d));
-          Ok (size - (16 * List.length recs.(i).Wire.truncations))
-      | Error e ->
-          Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_log_append_fail;
-          Farm_obs.Obs.event st.State.obs Farm_obs.Obs.K_log_append_fail ~a:d ~b:size
-            ~c:0;
-          List.iter (fun txid -> State.queue_truncation st ~dst:d txid) recs.(i).Wire.truncations;
-          Error e)
-    results
-
-let append_batch ?on_complete st ~thread (descs : (int * Wire.record) list) :
-    (int, Farm_net.Fabric.error) result array =
-  let a = Array.of_list descs in
-  append_prepared ?on_complete st ~thread ~n:(Array.length a)
-    ~dst:(fun i -> fst a.(i))
-    ~payload:(fun i -> snd a.(i))
+  Farm_net.Fabric.one_sided_write_batch_fn ?span ~on_complete st.State.fabric
+    ~src:st.State.id ~n ~dst
+    ~bytes:(fun i -> sizes.(i))
+    ~apply:(fun i -> Ringlog.dma_append (State.log_to st (dst i)) recs.(i) ~size:sizes.(i))
+  |> Array.mapi (fun i r -> settle st ~dst:(dst i) ~size:sizes.(i) recs.(i) r)
 
 (* Write an explicit TRUNCATE record carrying the pending truncations for
    [dst]. Used by the background flusher and when a log fills up. *)

@@ -14,7 +14,6 @@ type t = {
   protocol : protocol;
   validate_rpc_threshold : int;
   commit_log_bytes : int;
-  doorbell_batching : bool;
   arena_reuse : bool;
   (* global time (snapshot protocol only) *)
   clock_eps : Time.t;
@@ -66,7 +65,6 @@ let default =
     protocol = Validate_at_commit;
     validate_rpc_threshold = 4;
     commit_log_bytes = 64;
-    doorbell_batching = true;
     arena_reuse = true;
     clock_eps = Time.us 5;
     wm_interval = Time.us 500;

@@ -158,9 +158,6 @@ let resident_records t txid =
   | Some l -> List.map (fun e -> e.record) l
   | None -> []
 
-let unprocessed_records t =
-  Hashtbl.fold (fun _ e acc -> e.record :: acc) t.unprocessed []
-
 let iter_resident t fn =
   Txid.Tbl.iter (fun txid entries -> fn txid (List.map (fun e -> e.record) entries)) t.resident
 

@@ -65,7 +65,6 @@ val discard : t -> Engine.t -> entry -> unit
 (** Mark processed and free immediately (markers, aborted transactions). *)
 
 val resident_records : t -> Txid.t -> Wire.log_record list
-val unprocessed_records : t -> Wire.log_record list
 val iter_resident : t -> (Txid.t -> Wire.log_record list -> unit) -> unit
 
 val truncate : t -> Engine.t -> Txid.t -> int

@@ -22,7 +22,6 @@ type opts = {
   workers : int;  (** workers per machine *)
   duration : Time.t;  (** workload + fault window per schedule *)
   btree : bool;
-  batching : bool;  (** doorbell-batched commit pipeline (the default) *)
   protocol : Params.protocol;  (** commit protocol variant under test *)
   record : bool;  (** capture flight-recorder events (the default) *)
   perfetto : bool;  (** also capture a causal trace (off by default) *)
@@ -36,7 +35,6 @@ let default_opts =
     workers = 2;
     duration = Time.ms 60;
     btree = true;
-    batching = true;
     protocol = Params.Validate_at_commit;
     record = true;
     perfetto = false;
@@ -135,9 +133,7 @@ let spawn_workers (c : Cluster.t) ~opts ~stop ~hist ~addrs ~tree =
    violations and exercise the failing-outcome path). *)
 let run_one ?(opts = default_opts) ?probe seed =
   let trace = ref [] in
-  let params =
-    { params with Params.doorbell_batching = opts.batching; protocol = opts.protocol }
-  in
+  let params = { params with Params.protocol = opts.protocol } in
   let c = Cluster.create ~seed ~params ~machines:opts.machines () in
   Cluster.set_recording c opts.record;
   (* blame rides the recording switch: determinism-inert, so outcomes are

@@ -14,7 +14,6 @@ type opts = {
   workers : int;  (** workers per machine *)
   duration : Time.t;  (** workload + fault window per schedule *)
   btree : bool;
-  batching : bool;  (** doorbell-batched commit pipeline (the default) *)
   protocol : Farm_core.Params.protocol;
       (** commit protocol variant under test: the validate-at-commit
           baseline (default) or the snapshot (opacity) protocol *)

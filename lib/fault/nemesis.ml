@@ -10,7 +10,7 @@ open Farm_core
    callbacks: [Cluster.power_cycle] drives the engine internally, so it must
    run between [Engine.run] calls, not within one. *)
 
-let emit c fmt = Fmt.kstr (fun s -> Engine.emit c.Cluster.engine s) fmt
+let emit c fmt = Engine.emitf c.Cluster.engine fmt
 
 let apply (c : Cluster.t) (fault : Schedule.fault) =
   match fault with

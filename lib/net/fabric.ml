@@ -2,10 +2,6 @@ open Farm_sim
 
 type error = [ `Unreachable | `Timeout ]
 
-let pp_error ppf = function
-  | `Unreachable -> Fmt.string ppf "unreachable"
-  | `Timeout -> Fmt.string ppf "timeout"
-
 type 'msg handler = src:int -> reply:(bytes:int -> 'msg -> unit) -> 'msg -> unit
 
 type 'msg machine = {
@@ -67,14 +63,7 @@ let set_nic_gray ?(delay_factor = 1.) ?(loss = 0.) t ~machine =
   Hashtbl.replace t.gray_nics machine { delay_factor; gray_loss = loss }
 
 let clear_nic_gray t ~machine = Hashtbl.remove t.gray_nics machine
-
-let nic_gray t ~machine =
-  match Hashtbl.find_opt t.gray_nics machine with
-  | Some g -> Some (g.delay_factor, g.gray_loss)
-  | None -> None
-
 let set_blackhole t ~src ~dst = Hashtbl.replace t.blackholes (src, dst) ()
-let clear_blackhole t ~src ~dst = Hashtbl.remove t.blackholes (src, dst)
 let blackholed t ~src ~dst = Hashtbl.mem t.blackholes (src, dst)
 
 let clear_gray_faults t =
@@ -114,7 +103,7 @@ let sample_link_ud t ~src ~dst =
   in
   let loss = link_loss t ~src ~dst in
   if loss > 0. && Rng.float t.rng < loss then begin
-    Engine.emit t.engine (Printf.sprintf "net: drop %d->%d" src dst);
+    Engine.emitf t.engine "net: drop %d->%d" src dst;
     let obs = (get t src).obs in
     Farm_obs.Obs.incr obs Farm_obs.Obs.C_ud_drop;
     Farm_obs.Obs.event obs Farm_obs.Obs.K_drop ~a:dst ~b:0 ~c:0;
@@ -135,7 +124,7 @@ let sample_link_rc t ~src ~dst =
     let tries = ref 0 in
     while !tries < 16 && Rng.float t.rng < loss do
       incr tries;
-      Engine.emit t.engine (Printf.sprintf "net: drop %d->%d (retransmit)" src dst);
+      Engine.emitf t.engine "net: drop %d->%d (retransmit)" src dst;
       let obs = (get t src).obs in
       Farm_obs.Obs.incr obs Farm_obs.Obs.C_rc_retransmit;
       Farm_obs.Obs.event obs Farm_obs.Obs.K_drop ~a:dst ~b:0 ~c:1;
@@ -200,7 +189,6 @@ let reset_machine ?obs t ~id ~cpu =
 
 let set_handler t id handler = (get t id).on_message <- handler
 let set_alive t id alive = (get t id).alive <- alive
-let is_alive t id = (get t id).alive
 let set_partition t id p = (get t id).partition <- p
 let nic t id = (get t id).nic
 let cpu t id = (get t id).cpu
@@ -237,19 +225,24 @@ let fail_later t iv =
   Engine.schedule_in t.engine ~after:t.params.Params.failure_timeout (fun () ->
       Ivar.fill_if_empty iv (Error `Unreachable))
 
-(* In-flight part of a one-sided read, from NIC issue to completion
-   delivery; no CPU is charged here. [read] runs at the instant the target
-   NIC performs the DMA — the operation's linearization point. *)
-let read_flight t ~src ~dst ~bytes (read : unit -> 'a) : ('a, error) result Ivar.t =
+(* In-flight part of a one-sided verb, from NIC issue to completion
+   delivery; no CPU is charged here. [req] and [cpl] are the bytes the
+   request leg and the completion leg occupy at the issuing NIC, [bytes]
+   the DMA at the target NIC: a read sends a [req_bytes] descriptor and its
+   completion carries the data back; a write carries the data out and gets
+   an [ack_bytes] hardware ack back. [f] runs at the instant the target NIC
+   performs the DMA — the operation's linearization point — and its result
+   rides the completion. The target CPU is never involved. *)
+let flight t ~src ~dst ~req ~bytes ~cpl (f : unit -> 'a) : ('a, error) result Ivar.t =
   let ms = get t src in
   let iv : ('a, error) result Ivar.t = Ivar.create () in
   if src = dst then begin
     (* Local access: no NIC involved; negligible extra cost. *)
-    Ivar.fill iv (Ok (read ()))
+    Ivar.fill iv (Ok (f ()))
   end
   else begin
     let d_req = sample_link_rc t ~src ~dst in
-    let t_req = Nic.occupy ms.nic ~bytes:req_bytes in
+    let t_req = Nic.occupy ms.nic ~bytes:req in
     Engine.schedule t.engine
       ~at:(Time.add t_req (Time.add (leg_latency t ~src ~dst) d_req))
       (fun () ->
@@ -260,7 +253,7 @@ let read_flight t ~src ~dst ~bytes (read : unit -> 'a) : ('a, error) result Ivar
           Engine.schedule t.engine ~at:t_dst (fun () ->
               if not (reachable t src dst) then fail_later t iv
               else begin
-                let v = read () in
+                let v = f () in
                 let d_cpl = sample_link_rc t ~src:dst ~dst:src in
                 Engine.schedule t.engine
                   ~at:(Time.add t_dst (Time.add (leg_latency t ~src:dst ~dst:src) d_cpl))
@@ -268,10 +261,12 @@ let read_flight t ~src ~dst ~bytes (read : unit -> 'a) : ('a, error) result Ivar
                     (* The completion travels dst->src: a directed blackhole
                        on that leg swallows it and the RC QP eventually
                        errors out — unlike a classic partition, where
-                       in-flight responses still arrive. *)
+                       in-flight responses still arrive. A write has
+                       already been applied at the target by then; the
+                       issuer just never learns. *)
                     if blackholed t ~src:dst ~dst:src then fail_later t iv
                     else if ms.alive then begin
-                      let t_cpl = Nic.occupy ms.nic ~bytes in
+                      let t_cpl = Nic.occupy ms.nic ~bytes:cpl in
                       Engine.schedule t.engine ~at:t_cpl (fun () ->
                           Ivar.fill_if_empty iv (Ok v))
                     end)
@@ -303,81 +298,40 @@ let claim t span b t0 =
       Farm_obs.Obs.Span.claim sp b (n - t0);
       n
 
-(* One-sided RDMA read: issue, block on the completion, reap it. Charges
-   CPU only at [src]. *)
-let one_sided_read ?span t ~src ~dst ~bytes (read : unit -> 'a) : ('a, error) result =
-  let ms = get t src in
-  Farm_obs.Obs.incr ms.obs Farm_obs.Obs.C_rdma_read;
-  Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_read ~a:dst ~b:bytes ~c:0;
-  let t0 = mark t span in
-  Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rdma_issue;
-  let t1 = claim t span Farm_obs.Obs.B_nic_issue t0 in
-  let r = Ivar.read (read_flight t ~src ~dst ~bytes read) in
-  let t2 = claim t span Farm_obs.Obs.B_propagation t1 in
-  (match r with
-  | Ok _ ->
-      Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rdma_poll;
-      ignore (claim t span Farm_obs.Obs.B_poll t2)
-  | Error _ -> ());
-  r
-
-(* In-flight part of a one-sided write with hardware ack: [apply] mutates
-   target memory at the DMA instant; the target CPU is never involved. *)
-let write_flight t ~src ~dst ~bytes (apply : unit -> unit) : (unit, error) result Ivar.t =
-  let ms = get t src in
-  let iv : (unit, error) result Ivar.t = Ivar.create () in
-  if src = dst then begin
-    apply ();
-    Ivar.fill iv (Ok ())
+(* Issue one one-sided op from machine [ms]: count it, charge [cost] of
+   issuing CPU and launch its flight. Shared by the single and the batched
+   verbs, so the two differ only in the CPU they charge. *)
+let issue t (ms : 'msg machine) ~write ~cost ~dst ~bytes f =
+  if write then begin
+    Farm_obs.Obs.incr ms.obs Farm_obs.Obs.C_rdma_write;
+    Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_write ~a:dst ~b:bytes ~c:0
   end
   else begin
-    let d_req = sample_link_rc t ~src ~dst in
-    let t_req = Nic.occupy ms.nic ~bytes in
-    Engine.schedule t.engine
-      ~at:(Time.add t_req (Time.add (leg_latency t ~src ~dst) d_req))
-      (fun () ->
-        if not (reachable t src dst) then fail_later t iv
-        else begin
-          let md = get t dst in
-          let t_dst = Nic.occupy md.nic ~bytes in
-          Engine.schedule t.engine ~at:t_dst (fun () ->
-              if not (reachable t src dst) then fail_later t iv
-              else begin
-                apply ();
-                (* Hardware ack generated by the target NIC. *)
-                let d_ack = sample_link_rc t ~src:dst ~dst:src in
-                Engine.schedule t.engine
-                  ~at:(Time.add t_dst (Time.add (leg_latency t ~src:dst ~dst:src) d_ack))
-                  (fun () ->
-                    (* Ack leg dst->src: see the blackhole note in
-                       [read_flight] — the write itself has already been
-                       applied at the target, the issuer just never learns. *)
-                    if blackholed t ~src:dst ~dst:src then fail_later t iv
-                    else if ms.alive then begin
-                      let t_cpl = Nic.occupy ms.nic ~bytes:ack_bytes in
-                      Engine.schedule t.engine ~at:t_cpl (fun () ->
-                          Ivar.fill_if_empty iv (Ok ()))
-                    end)
-              end)
-        end)
+    Farm_obs.Obs.incr ms.obs Farm_obs.Obs.C_rdma_read;
+    Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_read ~a:dst ~b:bytes ~c:0
   end;
-  iv
+  Cpu.exec ms.cpu ~cost;
+  if write then flight t ~src:ms.id ~dst ~req:bytes ~bytes ~cpl:ack_bytes f
+  else flight t ~src:ms.id ~dst ~req:req_bytes ~bytes ~cpl:bytes f
+
+(* One blocking verb: issue, block on the completion, reap it. Charges CPU
+   only at [src]. *)
+let one_sided ?span t ~src ~write ~dst ~bytes f =
+  let ms = get t src in
+  let t0 = mark t span in
+  let iv = issue t ms ~write ~cost:t.params.Params.cpu_rdma_issue ~dst ~bytes f in
+  let t1 = claim t span Farm_obs.Obs.B_nic_issue t0 in
+  let r = Ivar.read iv in
+  let t2 = claim t span Farm_obs.Obs.B_propagation t1 in
+  if Result.is_ok r then Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rdma_poll;
+  ignore (claim t span Farm_obs.Obs.B_poll t2);
+  r
+
+let one_sided_read ?span t ~src ~dst ~bytes (read : unit -> 'a) : ('a, error) result =
+  one_sided ?span t ~src ~write:false ~dst ~bytes read
 
 let one_sided_write ?span t ~src ~dst ~bytes (apply : unit -> unit) : (unit, error) result =
-  let ms = get t src in
-  Farm_obs.Obs.incr ms.obs Farm_obs.Obs.C_rdma_write;
-  Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_write ~a:dst ~b:bytes ~c:0;
-  let t0 = mark t span in
-  Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rdma_issue;
-  let t1 = claim t span Farm_obs.Obs.B_nic_issue t0 in
-  let r = Ivar.read (write_flight t ~src ~dst ~bytes apply) in
-  let t2 = claim t span Farm_obs.Obs.B_propagation t1 in
-  (match r with
-  | Ok _ ->
-      Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rdma_poll;
-      ignore (claim t span Farm_obs.Obs.B_poll t2)
-  | Error _ -> ());
-  r
+  one_sided ?span t ~src ~write:true ~dst ~bytes apply
 
 (* {1 Doorbell-batched verbs}
 
@@ -388,19 +342,19 @@ let one_sided_write ?span t ~src ~dst ~bytes (apply : unit -> unit) : (unit, err
    (one completion-queue sweep) instead of one per operation.
 
    Everything on the wire is unchanged from the single-op verbs: each
-   operation occupies the NIC pipelines individually, samples its own
-   link-fault fate, and linearizes at its own target-DMA instant — so a
-   lossy link delays only the operations routed over it, and failures
-   surface per operation. The batch is a CPU/issue optimization, not a
-   semantic change. *)
+   operation goes through the same [issue] and [flight], occupies the NIC
+   pipelines individually, samples its own link-fault fate, and linearizes
+   at its own target-DMA instant — so a lossy link delays only the
+   operations routed over it, and failures surface per operation. The
+   batch is a CPU/issue optimization, not a semantic change.
+
+   The batch takes indexed accessors ([dst i], [bytes i], [f i] for
+   [0 <= i < n]) so hot callers can describe a group straight out of
+   reused flat storage, with a constant number of closures per batch
+   instead of a descriptor tuple per operation. *)
 
 let batch_issue_cost t i =
   if i = 0 then t.params.Params.cpu_rdma_issue else t.params.Params.cpu_rdma_doorbell
-
-let reap t (ms : 'msg machine) results =
-  if Array.exists (function Ok _ -> true | Error _ -> false) results then
-    Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rdma_poll;
-  results
 
 let record_batch (ms : 'msg machine) ~n bytes_of =
   if n > 0 then begin
@@ -412,81 +366,35 @@ let record_batch (ms : 'msg machine) ~n bytes_of =
     Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_batch ~a:n ~b:!total ~c:0
   end
 
-(* The primary batch entry points take indexed accessors ([dst i],
-   [bytes i], [read i] / [apply i] for [0 <= i < n]) so hot callers can
-   describe a group straight out of reused flat storage, with a constant
-   number of closures per batch instead of a descriptor tuple per
-   operation. The list forms below are veneers. *)
-
-let one_sided_read_batch_fn ?span t ~src ~n ~(dst : int -> int) ~(bytes : int -> int)
-    ~(read : int -> 'a) : ('a, error) result array =
+let batch ?span ?on_complete t ~src ~write ~n ~(dst : int -> int) ~(bytes : int -> int)
+    (f : int -> 'a) : ('a, error) result array =
   let ms = get t src in
   record_batch ms ~n bytes;
   let t0 = mark t span in
   let flights =
     Array.init n (fun i ->
-        let d = dst i and b = bytes i in
-        Farm_obs.Obs.incr ms.obs Farm_obs.Obs.C_rdma_read;
-        Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_read ~a:d ~b ~c:0;
-        Cpu.exec ms.cpu ~cost:(batch_issue_cost t i);
-        read_flight t ~src ~dst:d ~bytes:b (fun () -> read i))
-  in
-  let t1 = claim t span Farm_obs.Obs.B_nic_issue t0 in
-  let results = Array.map Ivar.read flights in
-  let t2 = claim t span Farm_obs.Obs.B_propagation t1 in
-  let results = reap t ms results in
-  ignore (claim t span Farm_obs.Obs.B_poll t2);
-  results
-
-let one_sided_write_batch_fn ?span ?on_complete t ~src ~n ~(dst : int -> int)
-    ~(bytes : int -> int) ~(apply : int -> unit) : (unit, error) result array =
-  let ms = get t src in
-  record_batch ms ~n bytes;
-  let t0 = mark t span in
-  let flights =
-    Array.init n (fun i ->
-        let d = dst i and b = bytes i in
-        Farm_obs.Obs.incr ms.obs Farm_obs.Obs.C_rdma_write;
-        Farm_obs.Obs.event ms.obs Farm_obs.Obs.K_rdma_write ~a:d ~b ~c:0;
-        Cpu.exec ms.cpu ~cost:(batch_issue_cost t i);
-        let iv = write_flight t ~src ~dst:d ~bytes:b (fun () -> apply i) in
-        (match on_complete with Some f -> Ivar.on_fill iv (fun r -> f i r) | None -> ());
+        let iv =
+          issue t ms ~write ~cost:(batch_issue_cost t i) ~dst:(dst i) ~bytes:(bytes i)
+            (fun () -> f i)
+        in
+        (match on_complete with Some g -> Ivar.on_fill iv (fun r -> g i r) | None -> ());
         iv)
   in
   let t1 = claim t span Farm_obs.Obs.B_nic_issue t0 in
   let results = Array.map Ivar.read flights in
   let t2 = claim t span Farm_obs.Obs.B_propagation t1 in
-  let results = reap t ms results in
+  if Array.exists Result.is_ok results then
+    Cpu.exec ms.cpu ~cost:t.params.Params.cpu_rdma_poll;
   ignore (claim t span Farm_obs.Obs.B_poll t2);
   results
 
-let one_sided_read_batch t ~src (descs : (int * int * (unit -> 'a)) list) :
+let one_sided_read_batch_fn ?span t ~src ~n ~dst ~bytes ~(read : int -> 'a) :
     ('a, error) result array =
-  let a = Array.of_list descs in
-  one_sided_read_batch_fn t ~src ~n:(Array.length a)
-    ~dst:(fun i ->
-      let d, _, _ = a.(i) in
-      d)
-    ~bytes:(fun i ->
-      let _, b, _ = a.(i) in
-      b)
-    ~read:(fun i ->
-      let _, _, r = a.(i) in
-      r ())
+  batch ?span t ~src ~write:false ~n ~dst ~bytes read
 
-let one_sided_write_batch ?on_complete t ~src (descs : (int * int * (unit -> unit)) list) :
-    (unit, error) result array =
-  let a = Array.of_list descs in
-  one_sided_write_batch_fn ?on_complete t ~src ~n:(Array.length a)
-    ~dst:(fun i ->
-      let d, _, _ = a.(i) in
-      d)
-    ~bytes:(fun i ->
-      let _, b, _ = a.(i) in
-      b)
-    ~apply:(fun i ->
-      let _, _, f = a.(i) in
-      f ())
+let one_sided_write_batch_fn ?span ?on_complete t ~src ~n ~dst ~bytes
+    ~(apply : int -> unit) : (unit, error) result array =
+  batch ?span ?on_complete t ~src ~write:true ~n ~dst ~bytes apply
 
 let deliver t ~src ~dst ~prio ~bytes ~flow msg ~reply =
   let route at =

@@ -17,8 +17,6 @@ open Farm_sim
 
 type error = [ `Unreachable | `Timeout ]
 
-val pp_error : Format.formatter -> error -> unit
-
 type 'msg handler = src:int -> reply:(bytes:int -> 'msg -> unit) -> 'msg -> unit
 
 type 'msg t
@@ -40,7 +38,6 @@ val set_handler : 'msg t -> int -> 'msg handler -> unit
     NIC-delivery time and must charge its own CPU before heavy work. *)
 
 val set_alive : 'msg t -> int -> bool -> unit
-val is_alive : 'msg t -> int -> bool
 val set_partition : 'msg t -> int -> int -> unit
 val reachable : 'msg t -> int -> int -> bool
 val nic : 'msg t -> int -> Nic.t
@@ -62,7 +59,7 @@ val latency : 'msg t -> Time.t
     retransmission timeout to the operation's latency but never fails it —
     only death and partitions do; unreliable-datagram traffic ({!send},
     which carries leases and other fire-and-forget messages) vanishes
-    silently. Each drop is reported through {!Engine.emit}. *)
+    silently. Each drop is reported through {!Engine.emitf}. *)
 
 val set_link_fault : ?delay:Time.t -> ?loss:float -> 'msg t -> src:int -> dst:int -> unit
 val clear_link_fault : 'msg t -> src:int -> dst:int -> unit
@@ -91,12 +88,7 @@ val set_nic_gray : ?delay_factor:float -> ?loss:float -> 'msg t -> machine:int -
 (** Raises if [delay_factor < 1.] or [loss] outside [0,1]. *)
 
 val clear_nic_gray : 'msg t -> machine:int -> unit
-
-val nic_gray : 'msg t -> machine:int -> (float * float) option
-(** [(delay_factor, loss)] currently injected on the machine's NIC. *)
-
 val set_blackhole : 'msg t -> src:int -> dst:int -> unit
-val clear_blackhole : 'msg t -> src:int -> dst:int -> unit
 val blackholed : 'msg t -> src:int -> dst:int -> bool
 
 val clear_gray_faults : 'msg t -> unit
@@ -135,9 +127,16 @@ val one_sided_write :
     the whole group's completions. Wire behaviour is identical to issuing
     the operations individually — per-op NIC occupancy, link faults and
     DMA-instant linearization points are unchanged; only the issuing CPU
-    cost differs. Both calls block until every operation in the group has
-    completed (ack or failure) and return per-descriptor results in order.
-    An empty batch returns [[||]] and charges nothing. *)
+    cost differs, so a batch of one completes at the same instant and
+    charges the same CPU as the single verb. Both calls block until every
+    operation in the group has completed (ack or failure) and return
+    per-operation results in order. An empty batch returns [[||]] and
+    charges nothing.
+
+    Operation [i] ([0 <= i < n]) targets [dst i] with [bytes i]; the
+    indexed accessors let hot callers describe a batch out of reused flat
+    storage with a constant number of closures instead of a descriptor
+    per operation. *)
 
 val one_sided_read_batch_fn :
   ?span:Farm_obs.Obs.Span.t ->
@@ -148,14 +147,7 @@ val one_sided_read_batch_fn :
   bytes:(int -> int) ->
   read:(int -> 'a) ->
   ('a, error) result array
-(** Indexed-accessor form: operation [i] ([0 <= i < n]) reads [bytes i]
-    from [dst i], with [read i] executing at its target-DMA instant. Lets
-    hot callers describe a batch out of reused flat storage with a
-    constant number of closures instead of a descriptor per operation. *)
-
-val one_sided_read_batch :
-  'msg t -> src:int -> (int * int * (unit -> 'a)) list -> ('a, error) result array
-(** Each descriptor is [(dst, bytes, read)]. *)
+(** [read i] executes at operation [i]'s target-DMA instant. *)
 
 val one_sided_write_batch_fn :
   ?span:Farm_obs.Obs.Span.t ->
@@ -167,18 +159,11 @@ val one_sided_write_batch_fn :
   bytes:(int -> int) ->
   apply:(int -> unit) ->
   (unit, error) result array
-(** Indexed-accessor form of {!one_sided_write_batch}. *)
-
-val one_sided_write_batch :
-  ?on_complete:(int -> (unit, error) result -> unit) ->
-  'msg t ->
-  src:int ->
-  (int * int * (unit -> unit)) list ->
-  (unit, error) result array
-(** Each descriptor is [(dst, bytes, apply)]. [on_complete] fires at each
-    operation's individual completion instant (index, result) — the hook
-    the commit pipeline uses for COMMIT-PRIMARY's first-ack semantics —
-    before the batch-wide completion reap. *)
+(** [apply i] mutates target memory at operation [i]'s DMA instant.
+    [on_complete] fires at each operation's individual completion instant
+    (index, result) — the hook the commit pipeline uses for
+    COMMIT-PRIMARY's first-ack semantics — before the batch-wide
+    completion reap. *)
 
 (** {1 Messaging} *)
 

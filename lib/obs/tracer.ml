@@ -51,8 +51,6 @@ let step_names =
     "rec-region-active"; "rec-decide"; "COMMIT-WAIT";
   |]
 
-let step_name s = step_names.(step_index s)
-
 type mark =
   | M_drop
   | M_retransmit
@@ -78,8 +76,6 @@ let mark_names =
     "drop"; "retransmit"; "lease-expiry"; "suspect"; "config-commit"; "truncate";
     "msg-send"; "msg-recv";
   |]
-
-let mark_name m = mark_names.(mark_index m)
 
 (* {1 Thread tracks} *)
 

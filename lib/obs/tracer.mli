@@ -63,8 +63,6 @@ type step =
   | T_rec_decide
   | T_commit_wait  (** snapshot protocol: waiting out clock uncertainty *)
 
-val step_name : step -> string
-
 (** {1 Instant events} *)
 
 type mark =
@@ -76,8 +74,6 @@ type mark =
   | M_truncate  (** log truncation applied; arg = coordinator *)
   | M_msg_send  (** fabric message carrying a flow id; arg = flow *)
   | M_msg_recv  (** its remote delivery; arg = flow *)
-
-val mark_name : mark -> string
 
 (** {1 Thread tracks}
 
@@ -140,7 +136,7 @@ type view = {
   v_machine : int;
   v_tid : int;
   v_instant : bool;  (** false = slice, true = instant mark *)
-  v_step : int;  (** {!step_index} for slices, mark index for instants *)
+  v_step : int;  (** step index for slices, mark index for instants *)
   v_ts : int;  (** start, sim ns *)
   v_dur : int;  (** ns; 0 for instants *)
   v_arg : int;
@@ -150,8 +146,6 @@ type view = {
   v_fin : int;  (** incoming / outgoing flow ids; 0 = none *)
   v_fout : int;
 }
-
-val step_index : step -> int
 
 val views : t list -> view list
 (** Every live slot of the given tracers in the export's deterministic

@@ -34,7 +34,10 @@ let create () =
 
 let set_tracer t tracer = t.tracer <- tracer
 
-let emit t msg = match t.tracer with Some f -> f ~at:t.now msg | None -> ()
+let emitf t fmt =
+  match t.tracer with
+  | Some f -> Format.kasprintf (fun msg -> f ~at:t.now msg) fmt
+  | None -> Format.ikfprintf ignore Format.err_formatter fmt
 
 let now t = t.now
 

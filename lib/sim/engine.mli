@@ -50,11 +50,13 @@ val events_processed : t -> int
 (** {1 Trace hooks}
 
     A tracer is an optional subscriber for timestamped diagnostic events.
-    Any layer may {!emit} a line (the network fabric reports injected
+    Any layer may {!emitf} a line (the network fabric reports injected
     packet drops, the fault harness reports every fault it applies); with
     no tracer installed, emission is free. The fuzzer uses the collected
     trace to print a per-run event log that is byte-identical across
     replays of the same seed. *)
 
 val set_tracer : t -> (at:Time.t -> string -> unit) option -> unit
-val emit : t -> string -> unit
+val emitf : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
+(** Emit one formatted line. The line is rendered only when a tracer is
+    installed; with none, the arguments are skipped unformatted. *)

@@ -11,7 +11,6 @@ let to_us_float t = float_of_int t /. 1e3
 let to_ms_float t = float_of_int t /. 1e6
 let to_s_float t = float_of_int t /. 1e9
 
-let of_us_float f = int_of_float (f *. 1e3)
 let of_ms_float f = int_of_float (f *. 1e6)
 
 let add = ( + )

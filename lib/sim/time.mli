@@ -21,7 +21,6 @@ val to_ns : t -> int
 val to_us_float : t -> float
 val to_ms_float : t -> float
 val to_s_float : t -> float
-val of_us_float : float -> t
 val of_ms_float : float -> t
 
 (** {1 Arithmetic and comparison} *)

@@ -3,9 +3,10 @@ open Farm_net
 open Farm_fault
 
 (* Doorbell-batched one-sided verbs: CPU-cost accounting of the batch
-   verbs, per-op independence of faults and failures within a batch, and
-   end-to-end equivalence of the batched and unbatched commit pipelines
-   under the fault-schedule fuzzer. *)
+   verbs (including the unbatched ablation's cost setting), equivalence of
+   a single verb and a batch of one, per-op independence of faults and
+   failures within a batch, and the batched commit pipeline under the
+   fault-schedule fuzzer. *)
 
 let test name fn = Alcotest.test_case name `Quick fn
 let check_bool = Alcotest.(check bool)
@@ -25,59 +26,93 @@ let mk_fabric ?(machines = 3) ?(params = Params.default) () =
   in
   (e, fab, cpus)
 
+(* Batches in the indexed-accessor form: op [i] targets [dsts.(i)]. *)
+let write_batch ?on_complete fab dsts apply =
+  Fabric.one_sided_write_batch_fn ?on_complete fab ~src:0 ~n:(Array.length dsts)
+    ~dst:(Array.get dsts) ~bytes:(fun _ -> 64) ~apply
+
+let read_batch fab dsts read =
+  Fabric.one_sided_read_batch_fn fab ~src:0 ~n:(Array.length dsts) ~dst:(Array.get dsts)
+    ~bytes:(fun _ -> 8) ~read
+
 (* A batch of k writes costs issue + (k-1) doorbells + one poll; the same
-   writes issued singly cost k * (issue + poll). *)
+   writes issued singly cost k * (issue + poll). The unbatched ablation is
+   the cost setting doorbell = issue + poll, under which the batch of k
+   costs exactly what the k singles do. *)
 let batch_cpu_cost () =
+  let dsts = [| 1; 2; 1; 2 |] in
+  let batch_cpu params =
+    let e, (fab : msg Fabric.t), cpus = mk_fabric ~params () in
+    Proc.spawn e (fun () ->
+        Array.iter
+          (function Ok () -> () | Error _ -> Alcotest.fail "batch op failed")
+          (write_batch fab dsts (fun _ -> ())));
+    Engine.run e;
+    Time.to_ns (Cpu.busy_total cpus.(0))
+  in
   let p = Params.default in
-  let e, (fab : msg Fabric.t), cpus = mk_fabric () in
-  let descs = List.map (fun dst -> (dst, 64, fun () -> ())) [ 1; 2; 1; 2 ] in
-  Proc.spawn e (fun () ->
-      let results = Fabric.one_sided_write_batch fab ~src:0 descs in
-      Array.iter
-        (function Ok () -> () | Error _ -> Alcotest.fail "batch op failed")
-        results);
-  Engine.run e;
+  let issue_poll = Time.add p.Params.cpu_rdma_issue p.Params.cpu_rdma_poll in
   let expect =
     Time.add
       (Time.add p.Params.cpu_rdma_issue (Time.mul_int p.Params.cpu_rdma_doorbell 3))
       p.Params.cpu_rdma_poll
   in
-  check_int "batch of 4: issue + 3 doorbells + 1 poll" (Time.to_ns expect)
-    (Time.to_ns (Cpu.busy_total cpus.(0)));
+  check_int "batch of 4: issue + 3 doorbells + 1 poll" (Time.to_ns expect) (batch_cpu p);
+  check_int "ablation batch of 4: 4 x (issue + poll)"
+    (Time.to_ns (Time.mul_int issue_poll 4))
+    (batch_cpu { p with Params.cpu_rdma_doorbell = issue_poll });
   (* the same four writes as singles *)
   let e2, (fab2 : msg Fabric.t), cpus2 = mk_fabric () in
   Proc.spawn e2 (fun () ->
-      List.iter
-        (fun (dst, bytes, apply) ->
-          match Fabric.one_sided_write fab2 ~src:0 ~dst ~bytes apply with
+      Array.iter
+        (fun dst ->
+          match Fabric.one_sided_write fab2 ~src:0 ~dst ~bytes:64 (fun () -> ()) with
           | Ok () -> ()
           | Error _ -> Alcotest.fail "single op failed")
-        descs);
+        dsts);
   Engine.run e2;
-  let expect_singles =
-    Time.mul_int (Time.add p.Params.cpu_rdma_issue p.Params.cpu_rdma_poll) 4
-  in
-  check_int "4 singles: 4 x (issue + poll)" (Time.to_ns expect_singles)
+  check_int "4 singles: 4 x (issue + poll)"
+    (Time.to_ns (Time.mul_int issue_poll 4))
     (Time.to_ns (Cpu.busy_total cpus2.(0)))
+
+(* The single verbs and the batch share one flight path: a batch of one
+   completes at the same instant and charges the same CPU as the single
+   verb, for reads and writes alike. *)
+let single_matches_batch_of_one () =
+  let run f =
+    let e, (fab : msg Fabric.t), cpus = mk_fabric () in
+    let done_at = ref Time.zero in
+    Proc.spawn e (fun () ->
+        if not (f fab) then Alcotest.fail "op failed";
+        done_at := Proc.now ());
+    Engine.run e;
+    (Time.to_ns !done_at, Time.to_ns (Cpu.busy_total cpus.(0)))
+  in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "read: same instant and CPU"
+    (run (fun fab -> Result.is_ok (Fabric.one_sided_read fab ~src:0 ~dst:1 ~bytes:8 Fun.id)))
+    (run (fun fab -> Result.is_ok (read_batch fab [| 1 |] (fun _ -> ())).(0)));
+  Alcotest.check pair "write: same instant and CPU"
+    (run (fun fab ->
+         Result.is_ok (Fabric.one_sided_write fab ~src:0 ~dst:1 ~bytes:64 Fun.id)))
+    (run (fun fab -> Result.is_ok (write_batch fab [| 1 |] (fun _ -> ())).(0)))
 
 let empty_batch_is_free () =
   let e, (fab : msg Fabric.t), cpus = mk_fabric () in
   let len = ref (-1) in
-  Proc.spawn e (fun () -> len := Array.length (Fabric.one_sided_read_batch fab ~src:0 []));
+  Proc.spawn e (fun () -> len := Array.length (read_batch fab [||] (fun _ -> ())));
   Engine.run e;
   check_int "no results" 0 !len;
   check_int "no CPU charged" 0 (Time.to_ns (Cpu.busy_total cpus.(0)))
 
-(* Batched reads return results in descriptor order and linearize at the
+(* Batched reads return results in operation order and linearize at the
    target, exactly like the single verb. *)
 let batch_read_order () =
   let e, (fab : msg Fabric.t), _ = mk_fabric () in
   let a = ref 10 and b = ref 20 in
   let got = ref [||] in
   Proc.spawn e (fun () ->
-      got :=
-        Fabric.one_sided_read_batch fab ~src:0
-          [ (1, 8, fun () -> !a); (2, 8, fun () -> !b); (1, 8, fun () -> !a + 1) ]);
+      got := read_batch fab [| 1; 2; 1 |] (function 0 -> !a | 1 -> !b | _ -> !a + 1));
   Engine.run e;
   let v i = match !got.(i) with Ok v -> v | Error _ -> Alcotest.fail "read failed" in
   check_int "desc 0" 10 (v 0);
@@ -94,10 +129,9 @@ let per_op_fault_independence () =
   let returned_at = ref Time.zero in
   Proc.spawn e (fun () ->
       let results =
-        Fabric.one_sided_write_batch
+        write_batch
           ~on_complete:(fun i _ -> done_at.(i) <- Engine.now e)
-          fab ~src:0
-          [ (1, 64, fun () -> ()); (2, 64, fun () -> ()); (1, 64, fun () -> ()) ]
+          fab [| 1; 2; 1 |] (fun _ -> ())
       in
       returned_at := Proc.now ();
       Array.iter
@@ -119,53 +153,37 @@ let per_op_failure_independence () =
   let cell = ref 0 in
   let got = ref [||] in
   Proc.spawn e (fun () ->
-      got :=
-        Fabric.one_sided_write_batch fab ~src:0
-          [ (1, 64, fun () -> cell := 7); (2, 64, fun () -> assert false) ]);
+      got := write_batch fab [| 1; 2 |] (function 0 -> cell := 7 | _ -> assert false));
   Engine.run e;
   check_bool "live op ok" true (match !got.(0) with Ok () -> true | Error _ -> false);
   check_bool "dead op fails" true
     (match !got.(1) with Ok () -> false | Error _ -> true);
   check_int "live op applied" 7 !cell
 
-(* End-to-end: the unbatched (pre-doorbell) commit pipeline passes the same
-   fault-schedule sweep as the batched default — strict serializability,
-   conservation, B-tree and state invariants, under crashes, partitions,
-   lossy links and power failures. *)
-let smoke_opts ~batching =
-  { Explorer.default_opts with machines = 5; workers = 1; duration = Time.ms 30; batching }
-
-let nemesis_sweep ~batching () =
-  let report =
-    Explorer.run ~opts:(smoke_opts ~batching) ~base_seed:7 ~schedules:10 ()
+(* End-to-end: the batched commit pipeline passes a fault-schedule sweep —
+   strict serializability, conservation, B-tree and state invariants, under
+   crashes, partitions, lossy links and power failures. *)
+let nemesis_sweep () =
+  let opts =
+    { Explorer.default_opts with machines = 5; workers = 1; duration = Time.ms 30 }
   in
+  let report = Explorer.run ~opts ~base_seed:7 ~schedules:10 () in
   (match report.Explorer.failures with
   | [] -> ()
   | o :: _ ->
       Alcotest.failf "seed %d failed:@ %a" o.Explorer.seed Explorer.pp_outcome o);
   check_bool "committed transactions" true (report.Explorer.total_committed > 300)
 
-(* Same seed, both modes: each mode is deterministic in the seed (the two
-   modes legitimately interleave differently, so only within-mode replay
-   must be exact). *)
-let unbatched_replay_identical () =
-  let seed = 7 in
-  let a = Explorer.run_one ~opts:(smoke_opts ~batching:false) seed in
-  let b = Explorer.run_one ~opts:(smoke_opts ~batching:false) seed in
-  Alcotest.(check (list string)) "traces byte-identical" a.Explorer.trace b.Explorer.trace;
-  check_int "committed identical" a.Explorer.committed b.Explorer.committed
-
 let suites =
   [
     ( "batching",
       [
         test "batch CPU cost: issue + doorbells + one poll" batch_cpu_cost;
+        test "single verb matches a batch of one" single_matches_batch_of_one;
         test "empty batch charges nothing" empty_batch_is_free;
         test "batched reads keep descriptor order" batch_read_order;
         test "link fault delays only its own op" per_op_fault_independence;
         test "dead target fails only its own op" per_op_failure_independence;
-        test "nemesis sweep passes batched" (nemesis_sweep ~batching:true);
-        test "nemesis sweep passes unbatched" (nemesis_sweep ~batching:false);
-        test "unbatched seed replay is exact" unbatched_replay_identical;
+        test "nemesis sweep passes batched" nemesis_sweep;
       ] );
   ]
