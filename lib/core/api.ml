@@ -12,28 +12,21 @@ open Farm_sim
 
 type 'a result_t = ('a, Txn.abort_reason) result
 
-let count_reason st r =
-  let i = Txn.reason_index r in
-  st.State.metrics.State.abort_reasons.(i) <-
-    st.State.metrics.State.abort_reasons.(i) + 1
-
-(* Run one transaction attempt: execute [f] then commit. *)
+(* Run one transaction attempt: execute [f] then commit. An abort raised
+   while [f] runs settles here — the one execute-phase settle; a commit
+   settles inside [Commit.commit]. Either way the transaction's arena goes
+   back to the pool. *)
 let run st ~thread (f : Txn.t -> 'a) : 'a result_t =
   let tx = Txn.begin_tx st ~thread in
   match f tx with
-  | v -> (
-      match Commit.commit tx with
-      | Ok () -> Ok v
-      | Error e ->
-          count_reason st e;
-          Error e)
+  | v -> Result.map (fun () -> v) (Commit.commit tx)
   | exception Txn.Abort reason ->
       tx.Txn.finished <- true;
       Txn.release_read_ts tx;
       Txn.return_allocations tx;
       Farm_obs.Obs.Span.finish tx.Txn.span ~committed:false;
       State.record_abort ~reason:(Txn.reason_index reason) st;
-      count_reason st reason;
+      Arena.release st.State.arena_pool tx.Txn.ar;
       Error reason
 
 (* Retry loop with randomized backoff on conflicts; gives up after

@@ -15,7 +15,9 @@ val run : State.t -> thread:int -> (Txn.t -> 'a) -> 'a result_t
 (** Run one transaction attempt: execute the body, then drive the
     four-phase commit protocol (§4). Must be called from a process on the
     machine [State.t]. [thread] is the coordinator thread identifier used
-    in transaction ids. *)
+    in transaction ids. A {!Txn.Abort} raised by the body settles the
+    transaction here — the only execute-phase abort path — and any other
+    exception leaves it unsettled. *)
 
 val run_retry : ?attempts:int -> State.t -> thread:int -> (Txn.t -> 'a) -> 'a result_t
 (** Like {!run}, retrying with randomized backoff on {!Txn.Conflict} and

@@ -1,20 +1,28 @@
-(* Per-commit scratch arenas (allocation discipline, DESIGN.md).
+(* Per-transaction arenas (allocation discipline, DESIGN.md).
 
-   The commit protocol needs a handful of small, short-lived groupings per
-   transaction: write items by destination, region ids written, per-
-   participant reservation accounting, validation groups. Building these
-   out of fresh hashtables and cons lists cost ~tens of KB of heap per
-   commit; an arena holds them as flat arrays that are reset — not
-   reallocated — between transactions.
+   A transaction needs its footprint — the read set with observed versions
+   and private value copies, the buffered write set — and, at commit, a
+   handful of small groupings: write items by destination, region ids
+   written, per-participant reservation accounting, validation groups.
+   Building these out of persistent maps, fresh hashtables and cons lists
+   cost ~tens of KB of heap per transaction; an arena holds them as flat
+   arrays that are reset — not reallocated — between transactions. It is
+   acquired at [Txn.begin_tx] and released when the transaction settles.
 
    Ownership rules (the part that keeps this safe):
 
    - The arena owns only coordinator-side SCRATCH. Anything that crosses
      the wire and can be retained by a receiver — [Wire.write_item]s,
      [Wire.record] payloads, the [regions_written] list shared by LOCK and
-     COMMIT-BACKUP — is freshly allocated per commit and never reused:
-     ring logs keep records resident until truncation and recovery reads
-     them back long after the coordinator has moved on.
+     COMMIT-BACKUP — is freshly allocated and never reused: ring logs keep
+     records resident until truncation and recovery reads them back long
+     after the coordinator has moved on. The write-set vector holds write
+     items, but never mutates one: a rewrite or free replaces the slot
+     with a fresh record.
+
+   - Read-set values are the transaction's private copies: [Txn.read]
+     hands out fresh sub-copies, never the arena-held bytes, so nothing
+     outside the arena can see them change or outlive a reset.
 
    - Arenas are reference-counted, not scoped: the commit path spawns
      background processes (COMMIT-PRIMARY bookkeeping, lazy TRUNCATE) that
@@ -26,7 +34,7 @@
    - With [Params.arena_reuse] off, released arenas are dropped instead of
      pooled, so every commit starts from freshly-zeroed state. Replaying
      the same seed in both modes and comparing traces is the state-leak
-     detector: any byte of difference means scratch escaped a commit. *)
+     detector: any byte of difference means scratch escaped a transaction. *)
 
 (* {1 Growable flat vectors}
 
@@ -43,6 +51,8 @@ module Vec = struct
   let clear v = v.n <- 0
   let get v i = v.a.(i)
 
+  let set v i x = v.a.(i) <- x
+
   let push v x =
     let cap = Array.length v.a in
     if v.n = cap then begin
@@ -52,6 +62,28 @@ module Vec = struct
     end;
     v.a.(v.n) <- x;
     v.n <- v.n + 1
+
+  (* Shift [i..n-1] one slot right and put [x] at [i]. *)
+  let insert v i x =
+    push v x;
+    Array.blit v.a i v.a (i + 1) (v.n - 1 - i);
+    v.a.(i) <- x
+
+  let remove v i =
+    Array.blit v.a (i + 1) v.a i (v.n - 1 - i);
+    v.n <- v.n - 1
+
+  (* Binary search of a vector sorted by [cmp key]: the index of the
+     element equal to [key], or [lnot i] where [i] is its insertion point.
+     [cmp] is meant to be a closed function, so a lookup allocates
+     nothing. *)
+  let search v key cmp =
+    let lo = ref 0 and hi = ref v.n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if cmp key v.a.(mid) > 0 then lo := mid + 1 else hi := mid
+    done;
+    if !lo < v.n && cmp key v.a.(!lo) = 0 then !lo else lnot !lo
 
   let iter f v =
     for i = 0 to v.n - 1 do
@@ -209,12 +241,13 @@ let accts_iter f t =
 
 type t = {
   mutable refs : int;
-  (* read set not written (validation input): address + observed version *)
-  ro_addr : Addr.t Vec.t;
-  ro_ver : int Vec.t;
-  (* write items in address order; the records themselves are fresh (wire-
-     owned), only this staging array is reused *)
-  items : Wire.write_item Vec.t;
+  (* the read set, in [Addr.compare] order: address, observed version and
+     the transaction's private value copy *)
+  rs_addr : Addr.t Vec.t;
+  rs_ver : int Vec.t;
+  rs_val : bytes Vec.t;
+  (* the write set in [Addr.compare] order, [ts = 0] *)
+  writes : Wire.write_item Vec.t;
   (* region ids written / read, sorted unique in place *)
   wregions : int Vec.t;
   rregions : int Vec.t;
@@ -240,9 +273,10 @@ type t = {
 let create () =
   {
     refs = 0;
-    ro_addr = Vec.create ();
-    ro_ver = Vec.create ();
-    items = Vec.create ();
+    rs_addr = Vec.create ();
+    rs_ver = Vec.create ();
+    rs_val = Vec.create ();
+    writes = Vec.create ();
     wregions = Vec.create ();
     rregions = Vec.create ();
     info_rid = Vec.create ();
@@ -258,9 +292,10 @@ let create () =
   }
 
 let reset t =
-  Vec.clear t.ro_addr;
-  Vec.clear t.ro_ver;
-  Vec.clear t.items;
+  Vec.clear t.rs_addr;
+  Vec.clear t.rs_ver;
+  Vec.clear t.rs_val;
+  Vec.clear t.writes;
   Vec.clear t.wregions;
   Vec.clear t.rregions;
   Vec.clear t.info_rid;
@@ -273,6 +308,12 @@ let reset t =
   Vec.clear t.rv_idx;
   Vec.clear t.ap_dst;
   Vec.clear t.ap_pay
+
+(* Footprint lookups: the index of [addr], or [lnot] its insertion point. *)
+let find_read t addr = Vec.search t.rs_addr addr Addr.compare
+
+let find_write t addr =
+  Vec.search t.writes addr (fun a (w : Wire.write_item) -> Addr.compare a w.Wire.addr)
 
 (* {1 The per-machine pool} *)
 
@@ -298,6 +339,9 @@ let release pool ar =
   if ar.refs <= 0 then invalid_arg "Arena.release: refcount underflow";
   ar.refs <- ar.refs - 1;
   if ar.refs = 0 && pool.reuse then begin
+    (* the read-value copies die with the transaction; a pooled arena must
+       not pin them until a later transaction happens to overwrite them *)
+    Array.fill ar.rs_val.Vec.a 0 ar.rs_val.Vec.n Bytes.empty;
     if pool.n_free = Array.length pool.free then begin
       let na = Array.make (max 4 (2 * Array.length pool.free)) ar in
       Array.blit pool.free 0 na 0 pool.n_free;

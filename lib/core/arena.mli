@@ -1,7 +1,10 @@
-(** Per-commit scratch arenas: pooled, reference-counted flat structures
-    reset — not reallocated — between transactions. The arena owns only
-    coordinator-side scratch; wire payloads and write items stay freshly
-    allocated because receivers retain them (see the allocation-discipline
+(** Per-transaction arenas: pooled, reference-counted flat structures
+    reset — not reallocated — between transactions. An arena holds a
+    transaction's footprint from {!Txn.begin_tx} until it settles, plus
+    the commit protocol's scratch. It owns only coordinator-side state:
+    wire payloads and write items stay freshly allocated and are never
+    mutated, because receivers retain them; read-set values are private
+    copies that never leave the arena (see the allocation-discipline
     section of DESIGN.md). *)
 
 (** Growable flat vector. [clear] is O(1) and does not null slots: stale
@@ -14,7 +17,21 @@ module Vec : sig
   val length : 'a t -> int
   val clear : 'a t -> unit
   val get : 'a t -> int -> 'a
+  val set : 'a t -> int -> 'a -> unit
   val push : 'a t -> 'a -> unit
+
+  val insert : 'a t -> int -> 'a -> unit
+  (** [insert v i x] shifts elements [i..] one slot right and puts [x] at
+      [i], [0 <= i <= length v]. *)
+
+  val remove : 'a t -> int -> unit
+  (** Remove the element at [i], shifting the tail left. *)
+
+  val search : 'a t -> 'k -> ('k -> 'a -> int) -> int
+  (** [search v key cmp] binary-searches [v], sorted by [cmp key]: the
+      index of the element equal to [key], or [lnot i] where [i] is the
+      insertion point that keeps [v] sorted. *)
+
   val iter : ('a -> unit) -> 'a t -> unit
   val fold : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 
@@ -66,9 +83,13 @@ val accts_iter : (acct -> unit) -> accts -> unit
 
 type t = {
   mutable refs : int;
-  ro_addr : Addr.t Vec.t;
-  ro_ver : int Vec.t;
-  items : Wire.write_item Vec.t;
+  rs_addr : Addr.t Vec.t;
+      (** read set in [Addr.compare] order: address, observed version,
+          private value copy (parallel vectors) *)
+  rs_ver : int Vec.t;
+  rs_val : bytes Vec.t;
+  writes : Wire.write_item Vec.t;
+      (** write set in [Addr.compare] order; records are never mutated *)
   wregions : int Vec.t;
   rregions : int Vec.t;
   info_rid : int Vec.t;
@@ -83,13 +104,18 @@ type t = {
   ap_pay : Wire.record Vec.t;
 }
 
-(** {1 Pool} — per machine; workers acquire one arena per commit. *)
+val find_read : t -> Addr.t -> int
+val find_write : t -> Addr.t -> int
+(** Binary search of the read or write set: the index of the address, or
+    [lnot i] where [i] is its insertion point. *)
+
+(** {1 Pool} — per machine; a transaction acquires one arena at begin. *)
 
 type pool
 
 val create_pool : reuse:bool -> pool
-(** With [reuse:false] released arenas are dropped, so every commit gets
-    freshly-zeroed scratch — the state-leak-detector mode driven by
+(** With [reuse:false] released arenas are dropped, so every transaction gets
+    freshly-zeroed state — the state-leak-detector mode driven by
     {!Params.arena_reuse}. *)
 
 val acquire : pool -> t
@@ -101,4 +127,5 @@ val retain : t -> unit
 
 val release : pool -> t -> unit
 (** Drop a reference; on the last one the arena returns to the pool (or is
-    dropped when the pool does not reuse). *)
+    dropped when the pool does not reuse). A pooled arena keeps no read
+    value alive. *)

@@ -20,18 +20,21 @@ open Farm_sim
    participant. The unbatched ablation is a CPU cost setting of the same
    pipeline (DESIGN.md), not a second code path.
 
-   Allocation discipline (DESIGN.md): all per-commit scratch — the write
-   items staged in address order, region-id sets, per-destination
-   groupings, reservation accounting, validation groups and the append
-   staging — lives in a pooled Arena acquired for the duration of the
-   commit and reset, not reallocated, between transactions. Only data that
-   crosses the wire is freshly allocated: write-item records, record
-   payloads, and one regions-written list shared by every LOCK and
-   COMMIT-BACKUP payload of the transaction — receivers keep all of these
-   resident until truncation and recovery reads them back. The arena is
-   reference-counted because the COMMIT-PRIMARY bookkeeping and the lazy
-   TRUNCATE run in background processes that touch the accounting tables
-   after [commit] has returned.
+   Allocation discipline (DESIGN.md): commit stages nothing. The
+   transaction's footprint already sits in the pooled Arena that
+   [Txn.begin_tx] acquired — the read set and the write items, both in
+   address order — and commit reads it in place. The rest of its scratch
+   (region-id sets, per-destination groupings, reservation accounting,
+   validation groups, the append staging) lives in the same arena, reset,
+   not reallocated, between transactions. Only data that crosses the wire
+   is freshly allocated: write-item records (by [Txn.write], never mutated
+   after), record payloads, and one regions-written list shared by every
+   LOCK and COMMIT-BACKUP payload of the transaction — receivers keep all
+   of these resident until truncation and recovery reads them back. The
+   arena is reference-counted because the COMMIT-PRIMARY bookkeeping and
+   the lazy TRUNCATE run in background processes that touch the
+   accounting tables after [commit] has returned; [finish] drops the
+   transaction's own reference.
 
    A configuration change can make the transaction "recovering" (§5.3);
    from that point the coordinator must ignore completions and defer to the
@@ -73,8 +76,8 @@ let read_header_at ?span st ~dst ~(addr : Addr.t) =
     Farm_net.Fabric.one_sided_read ?span st.State.fabric ~src:st.State.id ~dst ~bytes:16
       (fun () -> read_remote_header st ~dst ~addr)
 
-(* Validate the read set staged in the arena's [ro_addr]/[ro_ver] vectors:
-   group read-set indices by primary (counted groups, so the
+(* Validate the reads not also written, walking the arena's read set in
+   place: group read-set indices by primary (counted groups, so the
    RPC-vs-one-sided decision against tr is O(1) per group); use one-sided
    RDMA version reads for small groups — issued as one doorbell batch
    spanning every such group — and one RPC above the
@@ -82,13 +85,15 @@ let read_header_at ?span st ~dst ~(addr : Addr.t) =
 let validate_ar ?span st (ar : Arena.t) ~txid =
   Arena.groups_clear ar.Arena.vgroups;
   let ok = ref true in
-  for i = 0 to Arena.Vec.length ar.Arena.ro_addr - 1 do
-    let addr = Arena.Vec.get ar.Arena.ro_addr i in
-    match State.region_info st addr.Addr.region with
-    | Some info -> Arena.group_add ar.Arena.vgroups ~dst:info.Wire.primary i
-    | None -> ok := false
+  for i = 0 to Arena.Vec.length ar.Arena.rs_addr - 1 do
+    let addr = Arena.Vec.get ar.Arena.rs_addr i in
+    if Arena.find_write ar addr < 0 then
+      match State.region_info st addr.Addr.region with
+      | Some info -> Arena.group_add ar.Arena.vgroups ~dst:info.Wire.primary i
+      | None -> ok := false
   done;
   if not !ok then false
+  else if ar.Arena.vgroups.Arena.live = 0 then true (* every read also written *)
   else begin
     let tr = st.State.params.Params.validate_rpc_threshold in
     let check_header version = function
@@ -108,9 +113,9 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
           Arena.Vec.iter
             (fun i ->
               if g.Arena.g_dst = st.State.id then begin
-                let addr = Arena.Vec.get ar.Arena.ro_addr i in
+                let addr = Arena.Vec.get ar.Arena.rs_addr i in
                 match read_header_at ?span st ~dst:g.Arena.g_dst ~addr with
-                | Ok h -> check_header (Arena.Vec.get ar.Arena.ro_ver i) h
+                | Ok h -> check_header (Arena.Vec.get ar.Arena.rs_ver i) h
                 | Error _ -> ok := false
               end
               else begin
@@ -128,10 +133,10 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
             ~read:(fun i ->
               read_remote_header st
                 ~dst:(Arena.Vec.get ar.Arena.rv_dst i)
-                ~addr:(Arena.Vec.get ar.Arena.ro_addr (Arena.Vec.get ar.Arena.rv_idx i)))
+                ~addr:(Arena.Vec.get ar.Arena.rs_addr (Arena.Vec.get ar.Arena.rv_idx i)))
         in
         for i = 0 to n - 1 do
-          let version = Arena.Vec.get ar.Arena.ro_ver (Arena.Vec.get ar.Arena.rv_idx i) in
+          let version = Arena.Vec.get ar.Arena.rs_ver (Arena.Vec.get ar.Arena.rv_idx i) in
           match results.(i) with
           | Ok h -> check_header version h
           | Error _ -> ok := false
@@ -150,7 +155,7 @@ let validate_ar ?span st (ar : Arena.t) ~txid =
           let items =
             List.init (Arena.Vec.length g.Arena.g_items) (fun k ->
                 let i = Arena.Vec.get g.Arena.g_items k in
-                (Arena.Vec.get ar.Arena.ro_addr i, Arena.Vec.get ar.Arena.ro_ver i))
+                (Arena.Vec.get ar.Arena.rs_addr i, Arena.Vec.get ar.Arena.rs_ver i))
           in
           jobs :=
             (fun () ->
@@ -183,7 +188,7 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
   if tx.Txn.finished then invalid_arg "Commit.commit: transaction already finished";
   tx.Txn.finished <- true;
   let commit_start = State.now st in
-  let ar = Arena.acquire st.State.arena_pool in
+  let ar = tx.Txn.ar in
   (* protocol-level abort cause, set where the abort decision is made
      (lock refusal / validation failure); unset means finish derives it
      from the reason (Failed -> timeout) *)
@@ -204,15 +209,7 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
     Arena.release st.State.arena_pool ar;
     result
   in
-  (* stage the read set not written *)
-  Addr.Map.iter
-    (fun a (r : Txn.read_entry) ->
-      if not (Addr.Map.mem a tx.Txn.writes) then begin
-        Arena.Vec.push ar.Arena.ro_addr a;
-        Arena.Vec.push ar.Arena.ro_ver r.Txn.r_version
-      end)
-    tx.Txn.reads;
-  if Addr.Map.is_empty tx.Txn.writes then begin
+  if Arena.Vec.length ar.Arena.writes = 0 then begin
     if tx.Txn.read_ts >= 0 then begin
       (* Snapshot protocol: every read was served at the transaction's
          read timestamp, so the whole read set is one consistent snapshot
@@ -224,7 +221,7 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
     else if
       (* Baseline: serialization point is the last read; single-object
          reads are already atomic and need no validation. *)
-      Arena.Vec.length ar.Arena.ro_addr <= 1
+      Arena.Vec.length ar.Arena.rs_addr <= 1
     then finish (Ok ())
     else begin
       let txid = State.fresh_txid st ~thread:tx.Txn.thread in
@@ -237,7 +234,7 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
         abort_cause := Some State.Cause_validate;
         Arena.Vec.iter
           (fun (a : Addr.t) -> Farm_obs.Obs.heat_conflict st.State.obs ~region:a.Addr.region)
-          ar.Arena.ro_addr
+          ar.Arena.rs_addr
       end;
       finish (if ok then Ok () else Error Txn.Conflict)
     end
@@ -246,21 +243,9 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
     let txid = State.fresh_txid st ~thread:tx.Txn.thread in
     Farm_obs.Obs.Span.set_tx tx.Txn.span ~txm:txid.Txid.machine ~txt:txid.Txid.thread
       ~txl:txid.Txid.local;
-    (* Stage the write set in address order. The write-item records are
-       fresh — LOCK and COMMIT-BACKUP receivers keep them resident until
-       truncation — only the staging vector is reused. *)
-    Addr.Map.iter
-      (fun addr (w : Txn.write_entry) ->
-        Arena.Vec.push ar.Arena.items
-          {
-            Wire.addr;
-            version = w.Txn.w_version;
-            value = w.Txn.w_value;
-            alloc_op = w.Txn.w_alloc;
-            ts = 0;  (* the write timestamp is chosen after the locks *)
-          };
-        Arena.Vec.push ar.Arena.wregions addr.Addr.region)
-      tx.Txn.writes;
+    Arena.Vec.iter
+      (fun (w : Wire.write_item) -> Arena.Vec.push ar.Arena.wregions w.Wire.addr.Addr.region)
+      ar.Arena.writes;
     Arena.sort_uniq_ints ar.Arena.wregions;
     (* every written region heats up once per commit attempt *)
     Arena.Vec.iter
@@ -297,10 +282,11 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
           let info = find_info w.Wire.addr.Addr.region in
           Arena.group_add ar.Arena.primaries ~dst:info.Wire.primary w;
           List.iter (fun b -> Arena.group_add ar.Arena.backups ~dst:b w) info.Wire.backups)
-        ar.Arena.items;
+        ar.Arena.writes;
       Arena.Vec.iter
-        (fun (a : Addr.t) -> Arena.Vec.push ar.Arena.rregions a.Addr.region)
-        ar.Arena.ro_addr;
+        (fun (a : Addr.t) ->
+          if Arena.find_write ar a < 0 then Arena.Vec.push ar.Arena.rregions a.Addr.region)
+        ar.Arena.rs_addr;
       Arena.sort_uniq_ints ar.Arena.rregions;
       let lt =
         {
@@ -507,10 +493,7 @@ let commit (tx : Txn.t) : (unit, Txn.abort_reason) result =
             Farm_obs.Obs.Span.enter tx.Txn.span Farm_obs.Obs.P_validate;
             (* {2 Phase 2: VALIDATE} — one batched header read across all
                groups below tr, one RPC per group above it. *)
-            let validated =
-              Arena.Vec.length ar.Arena.ro_addr = 0
-              || validate_ar ~span:tx.Txn.span st ar ~txid
-            in
+            let validated = validate_ar ~span:tx.Txn.span st ar ~txid in
             if lt.State.lt_recovering then recovered_result (Ivar.read lt.State.lt_outcome)
             else if not validated then abort_tx ~cause:State.Cause_validate Txn.Conflict
             else begin

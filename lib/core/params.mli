@@ -28,10 +28,11 @@ type t = {
           one-sided RDMA to RPC (paper: 4) *)
   commit_log_bytes : int;  (** wire size of fixed commit-record parts *)
   arena_reuse : bool;
-      (** recycle per-commit scratch arenas through the machine's pool
-          (the default). [false] drops released arenas so every commit
-          starts from freshly-zeroed scratch — the state-leak-detector
-          mode: traces must be byte-identical either way *)
+      (** recycle per-transaction arenas through the machine's pool
+          (the default). [false] drops released arenas so every
+          transaction starts from a freshly-zeroed arena — the
+          state-leak-detector mode: traces must be byte-identical either
+          way *)
   clock_eps : Time.t;
       (** ε of the simulated clock-synchronisation service: every machine's
           clock reads as an interval [\[lo, hi\]] of width 2ε guaranteed to

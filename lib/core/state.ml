@@ -129,12 +129,10 @@ type cm_state = {
 type metrics = {
   committed : Stats.Counter.t;
   aborted : Stats.Counter.t;
-  abort_reasons : int array;  (* indexed by Txn.abort_reason tag *)
   commit_latency : Stats.Hist.t;  (* commit-phase latency, ns *)
   tx_latency : Stats.Hist.t;  (* full transaction latency, ns *)
   throughput : Stats.Series.t;  (* committed transactions per ms bin *)
   lockfree_reads : Stats.Counter.t;
-  recovered_txs : Stats.Counter.t;
 }
 
 type commit_phase =
@@ -189,7 +187,7 @@ type t = {
      this table would release another transaction's lock taken at the same
      version. *)
   locks_held : Wire.write_item list Txid.Tbl.t;
-  (* per-commit scratch arenas (see Arena); workers acquire one per commit *)
+  (* per-transaction arenas (see Arena), one acquired at each begin *)
   arena_pool : Arena.pool;
   (* truncation *)
   pending_trunc : (int, Txid.t list ref) Hashtbl.t;  (* dest machine -> txids *)
@@ -226,12 +224,10 @@ let create_metrics () =
   {
     committed = Stats.Counter.create ();
     aborted = Stats.Counter.create ();
-    abort_reasons = Array.make 8 0;
     commit_latency = Stats.Hist.create ();
     tx_latency = Stats.Hist.create ();
     throughput = Stats.Series.create ~bin:(Time.ms 1);
     lockfree_reads = Stats.Counter.create ();
-    recovered_txs = Stats.Counter.create ();
   }
 
 let create ~id ~engine ~rng ~params ~fabric ~zk ~cpu ~nv ~clock ~config ~directory ~obs =

@@ -119,12 +119,10 @@ type cm_state = {
 type metrics = {
   committed : Stats.Counter.t;
   aborted : Stats.Counter.t;
-  abort_reasons : int array;
   commit_latency : Stats.Hist.t;
   tx_latency : Stats.Hist.t;
   throughput : Stats.Series.t;
   lockfree_reads : Stats.Counter.t;
-  recovered_txs : Stats.Counter.t;
 }
 
 type commit_phase =
@@ -173,7 +171,7 @@ type t = {
       (** primary-side lock ownership: the ABORT path must release exactly
           the locks its transaction took *)
   arena_pool : Arena.pool;
-      (** per-commit scratch arenas; workers acquire one per commit *)
+      (** per-transaction arenas, one acquired at each begin *)
   pending_trunc : (int, Txid.t list ref) Hashtbl.t;
   truncated : (int, trunc_track) Hashtbl.t;  (** keyed by {!Txid.coord_id} *)
   mutable inflight : int;
@@ -196,8 +194,6 @@ type t = {
   mutable phase_hook : (commit_phase -> Txid.t -> unit) option;
   mutable trace : string -> unit;
 }
-
-val create_metrics : unit -> metrics
 
 val create :
   id:int ->

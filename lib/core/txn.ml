@@ -28,21 +28,12 @@ let pp_abort ppf r =
 
 exception Abort of abort_reason
 
-type read_entry = { r_version : int; r_value : bytes }
-
-type write_entry = {
-  w_version : int;
-  mutable w_value : bytes;
-  mutable w_alloc : Wire.alloc_op;
-}
-
 type t = {
   st : State.t;
   thread : int;
   t_started : Time.t;
   span : Farm_obs.Obs.Span.t;  (* opened at [t_started], in P_execute *)
-  mutable reads : read_entry Addr.Map.t;
-  mutable writes : write_entry Addr.Map.t;
+  ar : Arena.t;  (* the footprint, from begin until the tx settles *)
   mutable allocated : (Addr.t * int) list;  (* tentative slots, for abort *)
   mutable finished : bool;
   (* snapshot protocol: the transaction's read timestamp, drawn from the
@@ -76,8 +67,7 @@ let begin_tx st ~thread =
     thread;
     t_started = State.now st;
     span = Farm_obs.Obs.Span.start ~tid:thread st.State.obs;
-    reads = Addr.Map.empty;
-    writes = Addr.Map.empty;
+    ar = Arena.acquire st.State.arena_pool;
     allocated = [];
     finished = false;
     read_ts;
@@ -241,23 +231,37 @@ let read_snapshot_versioned ?span st ~(addr : Addr.t) ~len ~ts =
   in
   attempt ~failures:0 ~locked:0
 
-(* {1 Transaction API} *)
+(* {1 Transaction API}
+
+   The footprint lives in the transaction's arena: the read set as
+   parallel address/version/value vectors, the write set as a vector of
+   [Wire.write_item]s, both kept in [Addr.compare] order by binary-search
+   insertion. A write item is never mutated once pushed — receivers of
+   LOCK and COMMIT-BACKUP retain it — so a rewrite or free replaces its
+   slot. Only the process running the transaction touches it, so an
+   insertion point found before a yielding read is still valid after. *)
+
+let prefix b len = Bytes.sub b 0 (min len (Bytes.length b))
 
 let read tx (addr : Addr.t) ~len =
-  match Addr.Map.find_opt addr tx.writes with
-  | Some w -> Bytes.sub w.w_value 0 (min len (Bytes.length w.w_value))
-  | None -> (
-      match Addr.Map.find_opt addr tx.reads with
-      | Some r -> Bytes.sub r.r_value 0 (min len (Bytes.length r.r_value))
-      | None ->
-          let version, data =
-            if tx.read_ts >= 0 then
-              read_snapshot_versioned ~span:tx.span tx.st ~addr ~len ~ts:tx.read_ts
-            else read_versioned ~span:tx.span tx.st ~addr ~len
-          in
-          Farm_obs.Obs.heat_access tx.st.State.obs ~region:addr.Addr.region;
-          tx.reads <- Addr.Map.add addr { r_version = version; r_value = Bytes.copy data } tx.reads;
-          data)
+  let ar = tx.ar in
+  let wi = Arena.find_write ar addr in
+  if wi >= 0 then prefix (Arena.Vec.get ar.Arena.writes wi).Wire.value len
+  else
+    let ri = Arena.find_read ar addr in
+    if ri >= 0 then prefix (Arena.Vec.get ar.Arena.rs_val ri) len
+    else begin
+      let version, data =
+        if tx.read_ts >= 0 then
+          read_snapshot_versioned ~span:tx.span tx.st ~addr ~len ~ts:tx.read_ts
+        else read_versioned ~span:tx.span tx.st ~addr ~len
+      in
+      Farm_obs.Obs.heat_access tx.st.State.obs ~region:addr.Addr.region;
+      Arena.Vec.insert ar.Arena.rs_addr (lnot ri) addr;
+      Arena.Vec.insert ar.Arena.rs_ver (lnot ri) version;
+      Arena.Vec.insert ar.Arena.rs_val (lnot ri) (Bytes.copy data);
+      data
+    end
 
 (* The version a write must lock at: the version observed by this
    transaction, fetching it if the object was not read first. A blind
@@ -265,21 +269,21 @@ let read tx (addr : Addr.t) ~len =
    snapshot mode — locking at the snapshot's (possibly archived) version
    would make the write abort forever once the head moves. *)
 let observed_version tx (addr : Addr.t) =
-  match Addr.Map.find_opt addr tx.reads with
-  | Some r -> r.r_version
-  | None ->
-      let version, _ = read_versioned ~span:tx.span tx.st ~addr ~len:0 in
-      version
+  let ri = Arena.find_read tx.ar addr in
+  if ri >= 0 then Arena.Vec.get tx.ar.Arena.rs_ver ri
+  else
+    let version, _ = read_versioned ~span:tx.span tx.st ~addr ~len:0 in
+    version
 
 let write tx (addr : Addr.t) data =
-  match Addr.Map.find_opt addr tx.writes with
-  | Some w -> w.w_value <- Bytes.copy data
-  | None ->
-      let version = observed_version tx addr in
-      tx.writes <-
-        Addr.Map.add addr
-          { w_version = version; w_value = Bytes.copy data; w_alloc = Wire.Alloc_none }
-          tx.writes
+  let writes = tx.ar.Arena.writes in
+  let wi = Arena.find_write tx.ar addr in
+  if wi >= 0 then
+    Arena.Vec.set writes wi { (Arena.Vec.get writes wi) with Wire.value = Bytes.copy data }
+  else
+    let version = observed_version tx addr in
+    Arena.Vec.insert writes (lnot wi)
+      { Wire.addr; version; value = Bytes.copy data; alloc_op = Wire.Alloc_none; ts = 0 }
 
 (* Allocate an object. The slot is tentatively taken from the primary's
    slab free list during execution; its allocation bit is set only at
@@ -361,38 +365,43 @@ let alloc tx ~size ?near ?region () =
       in
       match slot with
       | None -> raise (Abort Out_of_space)
-      | Some (addr, _) when Addr.Map.mem addr tx.writes ->
+      | Some (addr, version) ->
+          let wi = Arena.find_write tx.ar addr in
           (* a double-handout race handed this tx the same slot twice
              (possible while allocator recovery races a pre-failure
              tentative holder); treat as a conflict and retry *)
-          raise (Abort Conflict)
-      | Some (addr, version) ->
+          if wi >= 0 then raise (Abort Conflict);
           tx.allocated <- (addr, size) :: tx.allocated;
-          tx.writes <-
-            Addr.Map.add addr
-              { w_version = version; w_value = Bytes.make size '\000'; w_alloc = Wire.Alloc_set }
-              tx.writes;
+          Arena.Vec.insert tx.ar.Arena.writes (lnot wi)
+            {
+              Wire.addr;
+              version;
+              value = Bytes.make size '\000';
+              alloc_op = Wire.Alloc_set;
+              ts = 0;
+            };
           addr)
 
 let free tx (addr : Addr.t) =
-  match Addr.Map.find_opt addr tx.writes with
-  | Some w when w.w_alloc = Wire.Alloc_set ->
+  let writes = tx.ar.Arena.writes in
+  let wi = Arena.find_write tx.ar addr in
+  if wi < 0 then
+    let version = observed_version tx addr in
+    Arena.Vec.insert writes (lnot wi)
+      { Wire.addr; version; value = Bytes.empty; alloc_op = Wire.Alloc_clear; ts = 0 }
+  else
+    let w = Arena.Vec.get writes wi in
+    if w.Wire.alloc_op <> Wire.Alloc_set then
+      Arena.Vec.set writes wi { w with Wire.alloc_op = Wire.Alloc_clear; value = Bytes.empty }
+    else begin
       (* allocated by this very transaction: cancel both operations and
          return the tentative slot to its region's primary *)
-      tx.writes <- Addr.Map.remove addr tx.writes;
+      Arena.Vec.remove writes wi;
       tx.allocated <- List.filter (fun (a, _) -> not (Addr.equal a addr)) tx.allocated;
-      (match State.region_info tx.st addr.Addr.region with
+      match State.region_info tx.st addr.Addr.region with
       | Some info -> Comms.send tx.st ~dst:info.Wire.primary (Wire.Free_slot_hint { addr })
-      | None -> ())
-  | Some w ->
-      w.w_alloc <- Wire.Alloc_clear;
-      w.w_value <- Bytes.empty
-  | None ->
-      let version = observed_version tx addr in
-      tx.writes <-
-        Addr.Map.add addr
-          { w_version = version; w_value = Bytes.empty; w_alloc = Wire.Alloc_clear }
-          tx.writes
+      | None -> ()
+    end
 
 (* Return tentatively allocated slots to their primaries after an abort. *)
 let return_allocations tx =

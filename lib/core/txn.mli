@@ -5,7 +5,9 @@ open Farm_sim
     Reads go to primaries — one-sided RDMA when remote, local memory access
     otherwise — and record the version of every object they touch; writes
     (and allocations/frees) are buffered at the coordinator until
-    {!Commit.commit}. *)
+    {!Commit.commit}. The footprint lives in the machine's pooled
+    {!Arena.t} from {!begin_tx} until the transaction settles: commit reads
+    it in place, and {!Api.run} releases it on an execute-phase abort. *)
 
 type abort_reason =
   | Conflict  (** lock or validation failure: a concurrent writer won *)
@@ -18,21 +20,16 @@ val pp_abort : Format.formatter -> abort_reason -> unit
 
 exception Abort of abort_reason
 
-type read_entry = { r_version : int; r_value : bytes }
-
-type write_entry = {
-  w_version : int;
-  mutable w_value : bytes;
-  mutable w_alloc : Wire.alloc_op;
-}
-
 type t = {
   st : State.t;
   thread : int;
   t_started : Time.t;
   span : Farm_obs.Obs.Span.t;  (** opened at [t_started], in [P_execute] *)
-  mutable reads : read_entry Addr.Map.t;
-  mutable writes : write_entry Addr.Map.t;
+  ar : Arena.t;
+      (** the transaction's footprint — read set ([rs_addr]/[rs_ver]/
+          [rs_val]) and write set ([writes]), both in [Addr.compare] order —
+          acquired at {!begin_tx}; whoever settles the transaction
+          releases it *)
   mutable allocated : (Addr.t * int) list;
   mutable finished : bool;
   mutable read_ts : int;
@@ -42,13 +39,12 @@ type t = {
 }
 
 val reason_index : abort_reason -> int
-(** Stable tag, used for the abort-reason metrics array and the
-    flight-recorder event argument. *)
+(** Stable tag, used as the flight-recorder abort event's argument. *)
 
 val begin_tx : State.t -> thread:int -> t
-(** Under the snapshot protocol, also draws the transaction's read
-    timestamp (the local clock's lower bound) and registers it against
-    the truncation watermark. *)
+(** Acquire the transaction's arena. Under the snapshot protocol, also
+    draws the transaction's read timestamp (the local clock's lower bound)
+    and registers it against the truncation watermark. *)
 
 val release_read_ts : t -> unit
 (** Drop the transaction's claim on its read timestamp once it settles

@@ -74,32 +74,26 @@ let write_int tx addr v =
   Bytes.set_int64_le b 0 (Int64.of_int v);
   Txn.write tx addr b
 
-(* One committed-or-aborted bank transfer, built by hand so the footprint is
-   available for history recording after commit. *)
+(* One committed-or-aborted bank transfer; a commit's footprint goes into
+   the history. *)
 let transfer st ~rng ~hist ~addrs =
   let n = Array.length addrs in
   let a = Rng.int rng n and b = Rng.int rng n in
   let ro = Rng.int rng 100 < 25 in
-  let tx = Txn.begin_tx st ~thread:0 in
   match
-    try
-      let va = read_int tx addrs.(a) in
-      let vb = read_int tx addrs.(b) in
-      if not ro then
-        if a <> b then begin
-          let amt = 1 + Rng.int rng 5 in
-          write_int tx addrs.(a) (va - amt);
-          write_int tx addrs.(b) (vb + amt)
-        end
-        else write_int tx addrs.(a) va;
-      Commit.commit tx
-    with Txn.Abort reason ->
-      tx.Txn.finished <- true;
-      Txn.release_read_ts tx;
-      Txn.return_allocations tx;
-      Error reason
+    Api.run st ~thread:0 (fun tx ->
+        let va = read_int tx addrs.(a) in
+        let vb = read_int tx addrs.(b) in
+        if not ro then
+          if a <> b then begin
+            let amt = 1 + Rng.int rng 5 in
+            write_int tx addrs.(a) (va - amt);
+            write_int tx addrs.(b) (vb + amt)
+          end
+          else write_int tx addrs.(a) va;
+        History.footprint tx)
   with
-  | Ok () -> ignore (History.record hist tx)
+  | Ok (reads, writes) -> ignore (History.add hist ~reads ~writes)
   | Error _ -> ()
 
 let spawn_workers (c : Cluster.t) ~opts ~stop ~hist ~addrs ~tree =

@@ -27,26 +27,27 @@ type t = { mutable events : event list; mutable next : int }
 
 let create () = { events = []; next = 0 }
 
-(* Record a transaction directly from its footprint: used by tests to build
-   known-bad histories without driving real transactions. *)
+(* Record one committed transaction from its footprint (see [footprint]);
+   tests also build known-bad histories with it directly. *)
 let add t ~reads ~writes =
   let id = t.next in
   t.next <- id + 1;
   t.events <- { tx = id; reads; writes } :: t.events;
   id
 
-(* Record one committed transaction from its execution footprint. *)
-let record t (tx : Txn.t) =
+(* A transaction's footprint so far, as [(object, version observed)]
+   lists in descending address order. Read at the end of the transaction
+   body: commit changes no versions, and the arena holding the footprint
+   is recycled once the transaction settles. *)
+let footprint (tx : Txn.t) =
+  let ar = tx.Txn.ar in
   let reads =
-    Addr.Map.fold (fun a (r : Txn.read_entry) acc -> (a, r.Txn.r_version) :: acc) tx.Txn.reads []
+    List.init (Arena.Vec.length ar.Arena.rs_addr) (fun i ->
+        (Arena.Vec.get ar.Arena.rs_addr i, Arena.Vec.get ar.Arena.rs_ver i))
   in
-  let writes =
-    Addr.Map.fold (fun a (w : Txn.write_entry) acc -> (a, w.Txn.w_version) :: acc) tx.Txn.writes []
-  in
-  let id = t.next in
-  t.next <- id + 1;
-  t.events <- { tx = id; reads; writes } :: t.events;
-  id
+  ( List.rev reads,
+    Arena.Vec.fold (fun acc (w : Wire.write_item) -> (w.Wire.addr, w.Wire.version) :: acc) []
+      ar.Arena.writes )
 
 type verdict = Serializable | Duplicate_write of Addr.t * int | Cycle of int list
 
@@ -89,7 +90,10 @@ let check t : verdict =
           List.iter observe e.reads;
           List.iter observe e.writes)
         events;
-      (* cycle detection via iterative DFS *)
+      (* Cycle detection by recursive DFS. A long version chain recurses
+         once per transaction, which is fine: OCaml 5 grows the stack on
+         demand, and a 4,000,000-transaction chain checks without
+         [Stack_overflow]. *)
       let color = Array.make n 0 in
       let parent = Array.make n (-1) in
       let cycle = ref None in

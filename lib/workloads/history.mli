@@ -14,14 +14,15 @@ type t
 val create : unit -> t
 
 val add : t -> reads:(Addr.t * int) list -> writes:(Addr.t * int) list -> int
-(** Record a transaction directly from its footprint — each entry is
-    [(object, version observed)]; a write installs [version + 1]. Meant for
-    tests that construct known-good or known-bad histories by hand. *)
+(** Record a committed transaction from its footprint — each entry is
+    [(object, version observed)]; a write installs [version + 1]. Returns
+    the dense transaction id used in verdicts. *)
 
-val record : t -> Txn.t -> int
-(** Record a transaction's execution footprint (call it right after a
-    successful commit, before reusing the transaction value); returns the
-    dense transaction id used in verdicts. *)
+val footprint : Txn.t -> (Addr.t * int) list * (Addr.t * int) list
+(** The transaction's [(reads, writes)] so far, in {!add}'s shape and in
+    descending address order. Call it as the last step of the body passed
+    to {!Api.run}, and {!add} the result once the run returns [Ok]: the
+    transaction's arena is recycled as soon as it settles. *)
 
 type verdict = Serializable | Duplicate_write of Addr.t * int | Cycle of int list
 

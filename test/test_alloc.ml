@@ -97,7 +97,9 @@ let commit_budget_snapshot () =
    Same seed, same workload, arenas pooled vs virgin: traces and
    flight-recorder dumps must be byte-identical.  The workload crosses a
    primary kill so the comparison also covers the recovery paths that
-   re-read retained log records. *)
+   re-read retained log records, and mixes in execute-phase aborts — after
+   reads, and after an allocation — so an arena released mid-transaction
+   is recycled too. *)
 
 let run_workload ~arena_reuse =
   let params = { quick_params with Params.arena_reuse } in
@@ -116,6 +118,22 @@ let run_workload ~arena_reuse =
       Proc.spawn ~ctx:st.State.ctx c.Cluster.engine (fun () ->
           let k = ref i in
           while not !stop do
+            (* execute-phase aborts between the commits: a read set left
+               behind in a recycled arena would be validated by the next
+               transaction, a returned tentative slot reused *)
+            (match !k mod 4 with
+            | 1 ->
+                ignore
+                  (Api.run st ~thread:0 (fun tx ->
+                       ignore (read_int tx cells.(0));
+                       ignore (read_int tx cells.(!k mod Array.length cells));
+                       Api.abort ()))
+            | 3 ->
+                ignore
+                  (Api.run st ~thread:0 (fun tx ->
+                       ignore (Txn.alloc tx ~size:8 ~region:r.Wire.rid ());
+                       Api.abort ()))
+            | _ -> ());
             (match
                Api.run_retry ~attempts:4 st ~thread:0 (fun tx ->
                    let cell = cells.(!k mod Array.length cells) in

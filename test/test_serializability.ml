@@ -26,24 +26,17 @@ let random_history ?(machines = 6) ?(seed = 77) ?(cells = 16) ?(duration = Time.
               while not !stop do
                 let a = Rng.int rng cells and b = Rng.int rng cells in
                 let ro = Rng.int rng 100 < 30 in
-                (* build the transaction by hand so its footprint is
-                   available for recording after commit *)
-                let tx = Txn.begin_tx st ~thread:0 in
                 (match
-                   (try
-                      let va = read_int tx addrs.(a) in
-                      let vb = read_int tx addrs.(b) in
-                      if not ro then begin
-                        write_int tx addrs.(a) (va + 1);
-                        if a <> b then write_int tx addrs.(b) (vb + va)
-                      end;
-                      Commit.commit tx
-                    with Txn.Abort reason ->
-                      tx.Txn.finished <- true;
-                      Txn.return_allocations tx;
-                      Error reason)
+                   Api.run st ~thread:0 (fun tx ->
+                       let va = read_int tx addrs.(a) in
+                       let vb = read_int tx addrs.(b) in
+                       if not ro then begin
+                         write_int tx addrs.(a) (va + 1);
+                         if a <> b then write_int tx addrs.(b) (vb + va)
+                       end;
+                       History.footprint tx)
                  with
-                | Ok () -> ignore (History.record hist tx)
+                | Ok (reads, writes) -> ignore (History.add hist ~reads ~writes)
                 | Error _ -> ());
                 Proc.sleep (Time.us (50 + Rng.int rng 200))
               done)

@@ -373,6 +373,147 @@ let alloc_free_same_tx () =
   in
   check_int "slot reusable" 3 (read_cell c ~machine:0 again)
 
+(* {1 The footprint against a map model}
+
+   Random read/write/alloc/free/re-read sequences run in one transaction
+   and, step by step, through an [Addr.Map] model of the read and write
+   sets. The arena-held footprint, the write items and every read result
+   must match the model. Each case ends in [Api.abort], so committed state
+   never moves and every case recycles the previous case's arena. *)
+
+type op = Read of int | Write of int * int | Alloc of bool | Free of int
+
+let show_op = function
+  | Read i -> Printf.sprintf "R%d" i
+  | Write (i, v) -> Printf.sprintf "W%d=%d" i v
+  | Alloc r1 -> if r1 then "A1" else "A2"
+  | Free i -> Printf.sprintf "F%d" i
+
+let ops_arb =
+  QCheck.(
+    make
+      ~print:(fun ops -> String.concat " " (List.map show_op ops))
+      Gen.(
+        list_size (int_range 1 30)
+          (frequency
+             [
+               (4, map (fun i -> Read i) (int_bound 63));
+               (3, map2 (fun i v -> Write (i, v)) (int_bound 63) (int_bound 1000));
+               (1, map (fun r -> Alloc r) bool);
+               (1, map (fun i -> Free i) (int_bound 63));
+             ])))
+
+(* Committed header version and data, peeked from the primary's memory. *)
+let peek c (a : Addr.t) ~len =
+  let st = Cluster.machine c 0 in
+  let info = Option.get (State.region_info st a.Addr.region) in
+  let rep = Option.get (State.replica (Cluster.machine c info.Wire.primary) a.Addr.region) in
+  let h, data = Objmem.read_object rep ~off:a.Addr.offset ~len in
+  (Obj_layout.version h, data)
+
+let footprint_world () =
+  let c = mk_cluster ~machines:3 () in
+  let r1 = (Cluster.alloc_region_exn c).Wire.rid in
+  let r2 = (Cluster.alloc_region_exn c).Wire.rid in
+  let cells = alloc_cells c ~region:r1 ~n:6 ~init:7 in
+  (c, r1, r2, Array.append cells (alloc_cells c ~region:r2 ~n:6 ~init:9))
+
+(* Run [ops] in one transaction on machine 1 and in the model. *)
+let run_footprint_case (c, r1, r2, cells) ops =
+  let reads = ref Addr.Map.empty and writes = ref Addr.Map.empty in
+  let pool = ref (Array.to_list cells) in
+  let pick i = List.nth !pool (i mod List.length !pool) in
+  let observed a =
+    match Addr.Map.find_opt a !reads with Some (v, _) -> v | None -> fst (peek c a ~len:0)
+  in
+  let put a w = writes := Addr.Map.add a w !writes in
+  let step tx = function
+    | Read i ->
+        let a = pick i in
+        let got = Txn.read tx a ~len:8 in
+        let want =
+          match (Addr.Map.find_opt a !writes, Addr.Map.find_opt a !reads) with
+          | Some (_, v, _), _ -> Bytes.sub v 0 (min 8 (Bytes.length v))
+          | None, Some (_, v) -> v
+          | None, None ->
+              let vd = peek c a ~len:8 in
+              reads := Addr.Map.add a vd !reads;
+              snd vd
+        in
+        if not (Bytes.equal got want) then
+          Fmt.failwith "R%d: read %S, model %S" i (Bytes.to_string got) (Bytes.to_string want)
+    | Write (i, v) ->
+        let a = pick i and b = Bytes.of_string (string_of_int v) in
+        (match Addr.Map.find_opt a !writes with
+        | Some (ver, _, op) -> put a (ver, b, op)
+        | None -> put a (observed a, b, Wire.Alloc_none));
+        Txn.write tx a b
+    | Alloc in_r1 ->
+        let a = Txn.alloc tx ~size:8 ~region:(if in_r1 then r1 else r2) () in
+        put a (fst (peek c a ~len:0), Bytes.make 8 '\000', Wire.Alloc_set);
+        pool := !pool @ [ a ]
+    | Free i -> (
+        let a = pick i in
+        Txn.free tx a;
+        match Addr.Map.find_opt a !writes with
+        | Some (_, _, Wire.Alloc_set) ->
+            (* cancelled: the slot is no longer this transaction's *)
+            writes := Addr.Map.remove a !writes;
+            pool := List.filter (fun b -> not (Addr.equal a b)) !pool
+        | Some (ver, _, _) -> put a (ver, Bytes.empty, Wire.Alloc_clear)
+        | None -> put a (observed a, Bytes.empty, Wire.Alloc_clear))
+  in
+  let verdict = ref (Error "aborted before the check") in
+  let check tx =
+    let desc m f = Addr.Map.fold (fun a x acc -> (a, f x) :: acc) m [] in
+    let items =
+      List.map
+        (fun (w : Wire.write_item) ->
+          (w.Wire.addr, (w.Wire.version, w.Wire.value, w.Wire.alloc_op)))
+        (Arena.Vec.to_list tx.Txn.ar.Arena.writes)
+    in
+    if Farm_workloads.History.footprint tx
+       <> (desc !reads fst, desc !writes (fun (v, _, _) -> v))
+    then Error "footprint differs from the model"
+    else if items <> Addr.Map.bindings !writes then Error "write items differ from the model"
+    else Ok ()
+  in
+  (match
+     Cluster.run_on c ~machine:1 (fun st ->
+         Api.run st ~thread:0 (fun tx ->
+             (try
+                List.iter (step tx) ops;
+                verdict := check tx
+              with Failure m -> verdict := Error m);
+             Api.abort ()))
+   with
+  | Error Txn.Explicit -> ()
+  | Error e -> verdict := Error (Fmt.str "aborted: %a" Txn.pp_abort e)
+  | Ok () -> ());
+  !verdict
+
+let footprint_matches_model =
+  let world = lazy (footprint_world ()) in
+  QCheck.Test.make ~name:"footprint and reads match an Addr.Map model" ~count:200 ops_arb
+    (fun ops ->
+      match run_footprint_case (Lazy.force world) ops with
+      | Ok () -> true
+      | Error m -> QCheck.Test.fail_report m)
+
+(* Twelve objects touched in descending address order: every insertion is
+   a head insert, and the vectors grow past their first capacity of 8. *)
+let footprint_descending () =
+  let ((_, _, _, cells) as world) = footprint_world () in
+  let desc = List.init (Array.length cells) (fun i -> Array.length cells - 1 - i) in
+  let sorted = List.sort Addr.compare (Array.to_list cells) in
+  check_bool "cells ascend" true (sorted = Array.to_list cells);
+  let ops =
+    List.map (fun i -> Read i) desc
+    @ List.map (fun i -> Write (i, i)) desc
+    @ List.map (fun i -> if i mod 3 = 0 then Free i else Read i) desc
+  in
+  match run_footprint_case world ops with Ok () -> () | Error m -> Alcotest.fail m
+
 let suites =
   [
     ( "txn.semantics",
@@ -394,4 +535,9 @@ let suites =
         test "alloc+free in one tx" alloc_free_same_tx;
       ] );
     ("txn.replication", [ test "backups apply at truncation" backups_apply_at_truncation ]);
+    ( "txn.footprint",
+      [
+        QCheck_alcotest.to_alcotest footprint_matches_model;
+        test "descending inserts past the first capacity" footprint_descending;
+      ] );
   ]
