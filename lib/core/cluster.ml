@@ -36,32 +36,35 @@ let create ?(seed = 42) ?(params = Params.default) ?(domains = fun i -> i) ~mach
   let domains_list = List.map (fun m -> (m, domains m)) members in
   let config = Config.make ~id:1 ~members ~domains:domains_list ~cm:0 in
   ignore (Farm_coord.Zk.bootstrap zk config);
-  let directory = Hashtbl.create n in
+  let directory = Array.make n None in
+  (* a ring log (located at the receiver) for every ordered machine pair:
+     [logs.(s).(r)] is written by [s] and stored at [r] *)
+  let logs =
+    Array.init n (fun s ->
+        Array.init n (fun r ->
+            Ringlog.create ~sender:s ~receiver:r ~capacity:params.Params.log_size))
+  in
   let states =
     Array.init n (fun id ->
         let cpu = Cpu.create engine ~threads:params.Params.threads_per_machine in
         let obs = Farm_obs.Obs.create engine ~machine:id in
         Farm_net.Fabric.add_machine ~obs fabric ~id ~cpu;
+        let logs_in = Hashtbl.create (max 8 n) in
+        for s = 0 to n - 1 do
+          Hashtbl.replace logs_in s logs.(s).(id)
+        done;
         let nv =
           {
             State.bank = Farm_nvram.Bank.create ~machine:id;
             replicas = Hashtbl.create 16;
-            logs_in = Hashtbl.create (max 8 n);
+            logs_in;
           }
         in
         let clk = Clock.handle clock ~offset_ns:(Clock.draw_offset clock clock_rng) in
         State.create ~id ~engine ~rng:(Rng.split rng) ~params ~fabric ~zk ~cpu ~nv
-          ~clock:clk ~config ~directory ~obs)
+          ~clock:clk ~config ~directory ~logs_out:logs.(id) ~obs)
   in
-  Array.iter (fun st -> Hashtbl.replace directory st.State.id st) states;
-  (* a ring log (located at the receiver) for every ordered machine pair *)
-  for s = 0 to n - 1 do
-    for r = 0 to n - 1 do
-      let log = Ringlog.create ~sender:s ~receiver:r ~capacity:params.Params.log_size in
-      Hashtbl.replace states.(r).State.nv.logs_in s log;
-      Hashtbl.replace states.(s).State.logs_out r log
-    done
-  done;
+  Array.iter (fun st -> directory.(st.State.id) <- Some st) states;
   let t =
     {
       engine;
@@ -160,17 +163,13 @@ let restart_machine ?(rejoining = true) t id ~config =
        keeps the old handle (same static offset, same engine) *)
     State.create ~id ~engine:t.engine ~rng:(Rng.split t.rng) ~params:t.params
       ~fabric:t.fabric ~zk:t.zk ~cpu ~nv:old.State.nv ~clock:old.State.clock ~config
-      ~directory ~obs
+      ~directory ~logs_out:old.State.logs_out ~obs
   in
-  (* reconnect the sender-side views of the shared ring logs; reservations
+  (* the sender-side views of the shared ring logs carry over; reservations
      and head estimates died with the process, so resynchronize them *)
-  Hashtbl.iter
-    (fun dst log ->
-      Hashtbl.replace st.State.logs_out dst log;
-      Ringlog.reset_sender_view log)
-    old.State.logs_out;
+  Array.iter Ringlog.reset_sender_view st.State.logs_out;
   st.State.rejoining <- rejoining;
-  Hashtbl.replace directory id st;
+  directory.(id) <- Some st;
   t.machines.(id) <- st;
   st.State.trace <-
     (fun tag ->

@@ -78,22 +78,14 @@ let record_evidence st txid (r : Wire.log_record) =
 
 (* {1 Truncation at the receiver (§4 step 5)} *)
 
-let deferred_set st ~log_sender =
-  match Hashtbl.find_opt st.State.deferred_trunc log_sender with
-  | Some s -> s
-  | None ->
-      let s = ref Txid.Set.empty in
-      Hashtbl.replace st.State.deferred_trunc log_sender s;
-      s
-
 (* Apply a truncation: backups apply the buffered updates to their region
    copies at truncation time; then the records are dropped and their space
    freed. Deferred if the transaction still has unprocessed entries. *)
 let apply_truncation st log txid =
   if Ringlog.pending_count log txid > 0 then begin
     Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_log_trunc_deferred;
-    let s = deferred_set st ~log_sender:(Ringlog.sender log) in
-    s := Txid.Set.add txid !s
+    let d = st.State.deferred_trunc and sender = Ringlog.sender log in
+    d.(sender) <- Txid.Set.add txid d.(sender)
   end
   else begin
     Farm_obs.Obs.incr st.State.obs Farm_obs.Obs.C_log_trunc;
@@ -117,9 +109,9 @@ let apply_truncation st log txid =
   end
 
 let retry_deferred_truncation st log txid =
-  let s = deferred_set st ~log_sender:(Ringlog.sender log) in
-  if Txid.Set.mem txid !s && Ringlog.pending_count log txid = 0 then begin
-    s := Txid.Set.remove txid !s;
+  let d = st.State.deferred_trunc and sender = Ringlog.sender log in
+  if Txid.Set.mem txid d.(sender) && Ringlog.pending_count log txid = 0 then begin
+    d.(sender) <- Txid.Set.remove txid d.(sender);
     apply_truncation st log txid
   end
 
@@ -278,7 +270,8 @@ let process_entry st log (e : Ringlog.entry) =
   (* piggybacked truncation information *)
   (match Ringlog.txid_of_record record with
   | Some txid ->
-      State.update_low_bound st ~coord:(Txid.coord_id txid) record.Wire.low_bound
+      State.update_low_bound st ~machine:txid.Txid.machine ~thread:txid.Txid.thread
+        record.Wire.low_bound
   | None -> ());
   List.iter (fun txid -> apply_truncation st log txid) record.Wire.truncations;
   (match Ringlog.txid_of_record record with

@@ -23,17 +23,15 @@ open Farm_sim
    is handled by the receiver deferring truncations while the transaction
    still has unprocessed entries (see [pending_tx]). *)
 
-type entry = { seq : int; size : int; record : Wire.log_record }
+type entry = { size : int; record : Wire.log_record }
 
 type t = {
   sender : int;
   receiver : int;
   capacity : int;
-  unprocessed : (int, entry) Hashtbl.t;  (* seq -> entry, DMA'd not processed *)
   pending_tx : int Txid.Tbl.t;  (* txid -> unprocessed record count *)
   resident : entry list Txid.Tbl.t;  (* processed, awaiting truncation *)
   mutable used : int;  (* receiver-side truth: unprocessed + resident bytes *)
-  mutable next_seq : int;
   mutable on_append : t -> entry -> unit;  (* receiver processing trigger *)
   (* sender-side state *)
   mutable reserved : int;
@@ -45,11 +43,9 @@ let create ~sender ~receiver ~capacity =
     sender;
     receiver;
     capacity;
-    unprocessed = Hashtbl.create 64;
     pending_tx = Txid.Tbl.create 64;
     resident = Txid.Tbl.create 64;
     used = 0;
-    next_seq = 0;
     on_append = (fun _ _ -> ());
     reserved = 0;
     used_estimate = 0;
@@ -101,10 +97,8 @@ let consume_reservation t n =
 (* The NIC accepts the write regardless of configuration; the sender
    reserved the space, so the ring never overflows. *)
 let dma_append t record ~size =
-  let e = { seq = t.next_seq; size; record } in
-  t.next_seq <- t.next_seq + 1;
+  let e = { size; record } in
   t.used <- t.used + size;
-  Hashtbl.replace t.unprocessed e.seq e;
   (match txid_of_record record with
   | Some txid ->
       let n = match Txid.Tbl.find_opt t.pending_tx txid with Some n -> n | None -> 0 in
@@ -120,7 +114,6 @@ let pending_count t txid =
 (* Mark an entry as no longer unprocessed (it was either retained or
    discarded by its processor). *)
 let processed t (e : entry) =
-  Hashtbl.remove t.unprocessed e.seq;
   match txid_of_record e.record with
   | Some txid ->
       let n = pending_count t txid in

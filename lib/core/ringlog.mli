@@ -17,7 +17,7 @@ open Farm_sim
     orders what must be ordered, and the receiver defers truncations for
     transactions that still have unprocessed records. *)
 
-type entry = { seq : int; size : int; record : Wire.log_record }
+type entry = { size : int; record : Wire.log_record }
 
 type t
 

@@ -166,16 +166,15 @@ type t = {
      probed before the crash (failure and rejoin are both configuration
      changes, §5.2) *)
   mutable rejoining : bool;
-  (* sender-side views of logs located at other machines *)
-  logs_out : (int, Ringlog.t) Hashtbl.t;
-  (* per incoming log: a poller is currently scheduled *)
-  pollers : (int, bool ref) Hashtbl.t;
+  (* sender-side views of logs located at other machines, by destination
+     machine *)
+  logs_out : Ringlog.t array;
   (* allocator spill map: when a region fills up, this machine allocates a
      co-located overflow region through the CM and remembers it here *)
   spill : (int, int) Hashtbl.t;
   (* coordinator-side *)
   next_local : int array;  (* per-thread local tx sequence *)
-  outstanding : (int, Txid.Set.t ref) Hashtbl.t;  (* thread -> not-yet-truncated *)
+  outstanding : Txid.Set.t array;  (* by thread: not yet truncated *)
   pending_lock : lock_wait Txid.Tbl.t;
   active_txs : tx_live Txid.Tbl.t;
   (* snapshot protocol: read timestamps of transactions currently executing
@@ -191,13 +190,14 @@ type t = {
   arena_pool : Arena.pool;
   (* truncation *)
   pending_trunc : (int, Txid.t list ref) Hashtbl.t;  (* dest machine -> txids *)
-  truncated : (int, trunc_track) Hashtbl.t;  (* Txid.coord_id -> tracking *)
+  (* by coordinator machine, then thread; created at first use *)
+  truncated : trunc_track option array array;
   (* log-record processing *)
   mutable inflight : int;  (* log entries currently being processed *)
   mutable inflight_blocked : int;  (* of which blocked on region activation *)
-  deferred_trunc : (int, Txid.Set.t ref) Hashtbl.t;
+  deferred_trunc : Txid.Set.t array;
       (* truncations received while the tx still had unprocessed records in
-         the sender's log; keyed by sender machine *)
+         the sender's log; by sender machine *)
   (* recovery *)
   mutable recovery : recovery_state option;
   rec_coords : rec_coord Txid.Tbl.t;
@@ -209,8 +209,8 @@ type t = {
   metrics : metrics;
   obs : Farm_obs.Obs.t;  (* per-machine observability sink *)
   (* the cluster's "memory bus": lets one-sided operations reach remote
-     replicas without involving the remote CPU *)
-  directory : (int, t) Hashtbl.t;
+     replicas without involving the remote CPU; by machine id *)
+  directory : t option array;
   (* wiring installed by Node to avoid module cycles *)
   mutable on_suspect : int list -> unit;  (* lease expiry -> reconfiguration *)
   (* application-registered handler for function-shipped operations *)
@@ -230,7 +230,9 @@ let create_metrics () =
     lockfree_reads = Stats.Counter.create ();
   }
 
-let create ~id ~engine ~rng ~params ~fabric ~zk ~cpu ~nv ~clock ~config ~directory ~obs =
+let create ~id ~engine ~rng ~params ~fabric ~zk ~cpu ~nv ~clock ~config ~directory ~logs_out
+    ~obs =
+  let n = Array.length directory and threads = params.Params.threads_per_machine in
   {
     id;
     engine;
@@ -248,21 +250,20 @@ let create ~id ~engine ~rng ~params ~fabric ~zk ~cpu ~nv ~clock ~config ~directo
     last_drained = 0;
     blocked = false;
     rejoining = false;
-    logs_out = Hashtbl.create 16;
-    pollers = Hashtbl.create 16;
+    logs_out;
     spill = Hashtbl.create 16;
-    next_local = Array.make params.Params.threads_per_machine 0;
-    outstanding = Hashtbl.create 8;
+    next_local = Array.make threads 0;
+    outstanding = Array.make threads Txid.Set.empty;
     pending_lock = Txid.Tbl.create 64;
     active_txs = Txid.Tbl.create 64;
     read_ts_active = Hashtbl.create 64;
     locks_held = Txid.Tbl.create 64;
     arena_pool = Arena.create_pool ~reuse:params.Params.arena_reuse;
     pending_trunc = Hashtbl.create 16;
-    truncated = Hashtbl.create 64;
+    truncated = Array.init n (fun _ -> Array.make threads None);
     inflight = 0;
     inflight_blocked = 0;
-    deferred_trunc = Hashtbl.create 16;
+    deferred_trunc = Array.make n Txid.Set.empty;
     recovery = None;
     rec_coords = Txid.Tbl.create 16;
     recovered_outcomes = Txid.Tbl.create 64;
@@ -288,7 +289,7 @@ let create ~id ~engine ~rng ~params ~fabric ~zk ~cpu ~nv ~clock ~config ~directo
     trace = (fun _ -> ());
   }
 
-let peer st id = Hashtbl.find_opt st.directory id
+let peer st id = if id >= 0 && id < Array.length st.directory then st.directory.(id) else None
 
 let now st = Engine.now st.engine
 let is_cm st = st.config.Config.cm = st.id
@@ -385,9 +386,8 @@ let set_inactive r =
 (* {1 Outgoing logs} *)
 
 let log_to st dst =
-  match Hashtbl.find_opt st.logs_out dst with
-  | Some l -> l
-  | None -> invalid_arg (Printf.sprintf "machine %d has no log to %d" st.id dst)
+  if dst >= 0 && dst < Array.length st.logs_out then st.logs_out.(dst)
+  else invalid_arg (Printf.sprintf "machine %d has no log to %d" st.id dst)
 
 (* {1 Transaction ids} *)
 
@@ -395,55 +395,44 @@ let fresh_txid st ~thread =
   let local = st.next_local.(thread) in
   st.next_local.(thread) <- local + 1;
   let txid = Txid.make ~config:st.config.Config.id ~machine:st.id ~thread ~local in
-  let outs =
-    match Hashtbl.find_opt st.outstanding thread with
-    | Some s -> s
-    | None ->
-        let s = ref Txid.Set.empty in
-        Hashtbl.replace st.outstanding thread s;
-        s
-  in
-  outs := Txid.Set.add txid !outs;
+  st.outstanding.(thread) <- Txid.Set.add txid st.outstanding.(thread);
   txid
 
 (* The thread's low bound on non-truncated transaction ids, piggybacked on
    log records. *)
 let low_bound st ~thread =
-  match Hashtbl.find_opt st.outstanding thread with
-  | None -> st.next_local.(thread)
-  | Some s ->
-      if Txid.Set.is_empty !s then st.next_local.(thread)
-      else (Txid.Set.min_elt !s).Txid.local
+  let s = st.outstanding.(thread) in
+  if Txid.Set.is_empty s then st.next_local.(thread) else (Txid.Set.min_elt s).Txid.local
 
-let forget_outstanding st txid =
-  match Hashtbl.find_opt st.outstanding txid.Txid.thread with
-  | Some s -> s := Txid.Set.remove txid !s
-  | None -> ()
+let forget_outstanding st (txid : Txid.t) =
+  let th = txid.thread in
+  st.outstanding.(th) <- Txid.Set.remove txid st.outstanding.(th)
 
 (* {1 Truncation tracking at receivers} *)
 
-let trunc_track st ~coord =
-  match Hashtbl.find_opt st.truncated coord with
+let trunc_track st ~machine ~thread =
+  let row = st.truncated.(machine) in
+  match row.(thread) with
   | Some t -> t
   | None ->
       let t = { low = 0; above = Hashtbl.create 16 } in
-      Hashtbl.replace st.truncated coord t;
+      row.(thread) <- Some t;
       t
 
-let mark_truncated st txid =
-  let t = trunc_track st ~coord:(Txid.coord_id txid) in
-  if txid.Txid.local >= t.low then Hashtbl.replace t.above txid.Txid.local ()
+let mark_truncated st (txid : Txid.t) =
+  let t = trunc_track st ~machine:txid.machine ~thread:txid.thread in
+  if txid.local >= t.low then Hashtbl.replace t.above txid.local ()
 
-let update_low_bound st ~coord low =
-  let t = trunc_track st ~coord in
+let update_low_bound st ~machine ~thread low =
+  let t = trunc_track st ~machine ~thread in
   if low > t.low then begin
     t.low <- low;
-    Hashtbl.iter (fun l () -> if l < low then Hashtbl.remove t.above l) (Hashtbl.copy t.above)
+    Hashtbl.filter_map_inplace (fun l () -> if l < low then None else Some ()) t.above
   end
 
-let is_truncated st txid =
-  let t = trunc_track st ~coord:(Txid.coord_id txid) in
-  txid.Txid.local < t.low || Hashtbl.mem t.above txid.Txid.local
+let is_truncated st (txid : Txid.t) =
+  let t = trunc_track st ~machine:txid.machine ~thread:txid.thread in
+  txid.local < t.low || Hashtbl.mem t.above txid.local
 
 (* {1 Pending truncations at the coordinator} *)
 

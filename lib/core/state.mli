@@ -156,12 +156,14 @@ type t = {
   mutable rejoining : bool;
       (** restarted after a crash: stays out of configurations that predate
           the reincarnation (see {!Cluster.restart_machine}) *)
-  logs_out : (int, Ringlog.t) Hashtbl.t;  (** sender views of remote logs *)
-  pollers : (int, bool ref) Hashtbl.t;
+  logs_out : Ringlog.t array;
+      (** by destination machine: the log this machine writes there — the
+          same ring the destination holds in its [nv.logs_in] *)
   spill : (int, int) Hashtbl.t;
       (** full region -> co-located overflow region for allocation *)
   next_local : int array;
-  outstanding : (int, Txid.Set.t ref) Hashtbl.t;
+  outstanding : Txid.Set.t array;
+      (** by thread: this machine's transactions not yet truncated *)
   pending_lock : lock_wait Txid.Tbl.t;
   active_txs : tx_live Txid.Tbl.t;
   read_ts_active : (int, int) Hashtbl.t;
@@ -173,10 +175,13 @@ type t = {
   arena_pool : Arena.pool;
       (** per-transaction arenas, one acquired at each begin *)
   pending_trunc : (int, Txid.t list ref) Hashtbl.t;
-  truncated : (int, trunc_track) Hashtbl.t;  (** keyed by {!Txid.coord_id} *)
+  truncated : trunc_track option array array;
+      (** by coordinator machine, then thread; see {!trunc_track} *)
   mutable inflight : int;
   mutable inflight_blocked : int;
-  deferred_trunc : (int, Txid.Set.t ref) Hashtbl.t;
+  deferred_trunc : Txid.Set.t array;
+      (** by sender machine: truncations waiting for their transaction's
+          unprocessed records in that sender's log *)
   mutable recovery : recovery_state option;
   rec_coords : rec_coord Txid.Tbl.t;
   recovered_outcomes : outcome Txid.Tbl.t;
@@ -186,9 +191,10 @@ type t = {
   pending_suspects : (int, unit) Hashtbl.t;
   metrics : metrics;
   obs : Farm_obs.Obs.t;  (** per-machine observability sink *)
-  directory : (int, t) Hashtbl.t;
-      (** the cluster's "memory bus": one-sided operations reach remote
-          replicas through it without touching the remote CPU *)
+  directory : t option array;
+      (** the cluster's "memory bus", by machine id: one-sided operations
+          reach remote replicas through it without touching the remote
+          CPU. Shared by every machine; a restart overwrites its slot. *)
   mutable on_suspect : int list -> unit;
   mutable app_handler : (tag:int -> args:int array -> bool) option;
   mutable phase_hook : (commit_phase -> Txid.t -> unit) option;
@@ -206,14 +212,19 @@ val create :
   nv:nvstate ->
   clock:Clock.handle ->
   config:Config.t ->
-  directory:(int, t) Hashtbl.t ->
+  directory:t option array ->
+  logs_out:Ringlog.t array ->
   obs:Farm_obs.Obs.t ->
   t
+(** The cluster has [Array.length directory] machines, with ids
+    [0 .. n-1]; [logs_out.(d)] is the log this machine writes at machine
+    [d]. *)
 
 val now : t -> Time.t
 val is_cm : t -> bool
 val ensure_cm : t -> cm_state
 val peer : t -> int -> t option
+(** The current incarnation of a machine, [None] for an unknown id. *)
 
 (** {1 Replicas and regions} *)
 
@@ -241,11 +252,16 @@ val forget_outstanding : t -> Txid.t -> unit
 
 (** {1 Truncation tracking} *)
 
-val trunc_track : t -> coord:int -> trunc_track
-(** [coord] is a {!Txid.coord_id}-packed coordinator-thread identity. *)
+val trunc_track : t -> machine:int -> thread:int -> trunc_track
+(** The tracker of coordinator thread [thread] on machine [machine],
+    created empty at first use. *)
 
 val mark_truncated : t -> Txid.t -> unit
-val update_low_bound : t -> coord:int -> int -> unit
+
+val update_low_bound : t -> machine:int -> thread:int -> int -> unit
+(** Raise the coordinator thread's low bound (never lowers it) and drop
+    the truncated ids below it. *)
+
 val is_truncated : t -> Txid.t -> bool
 
 val queue_truncation : t -> dst:int -> Txid.t -> unit

@@ -18,17 +18,11 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let hash t = Hashtbl.hash (t.config, t.machine, t.thread, t.local)
-
-(* Key identifying the coordinator thread, used for truncation tracking and
-   for sharding recovery work across threads. *)
-let coord_key t = (t.machine, t.thread)
-
-(* The same identity packed into one int, for the per-record hot path:
-   keying the truncation tables on a tuple would allocate the key and
-   hash it structurally on every log record processed. Threads fit in 10
-   bits ([Params.threads_per_machine] is single digits). *)
-let coord_id t = (t.machine lsl 10) lor t.thread
+(* Hashes the record in place. It has the block layout of the tuple
+   [(config, machine, thread, local)] (tag 0, four immediate fields), so
+   the value equals that tuple's hash without allocating it; table bucket
+   order, and so every [Tbl] iteration order, depends on this. *)
+let hash (t : t) = Hashtbl.hash t
 
 let pp ppf t = Fmt.pf ppf "<c%d,m%d,t%d,l%d>" t.config t.machine t.thread t.local
 

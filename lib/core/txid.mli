@@ -11,15 +11,10 @@ type t = { config : int; machine : int; thread : int; local : int }
 val make : config:int -> machine:int -> thread:int -> local:int -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
+
 val hash : t -> int
-
-val coord_key : t -> int * int
-(** [(machine, thread)], the key for truncation tracking and recovery
-    sharding. *)
-
-val coord_id : t -> int
-(** The same identity packed into one int — the allocation-free key the
-    truncation tables use on the per-record hot path. *)
+(** Equal to [Hashtbl.hash (config, machine, thread, local)], computed
+    without allocating. *)
 
 val pp : Format.formatter -> t -> unit
 

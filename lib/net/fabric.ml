@@ -12,6 +12,13 @@ type 'msg machine = {
   mutable alive : bool;
   mutable partition : int;
   mutable on_message : 'msg handler;
+  (* gray-NIC state: a slow-but-alive NIC multiplies the flight time of
+     every packet entering or leaving the machine ([delay_factor], 1 when
+     healthy) and adds a loss probability on all of its links
+     ([gray_loss]). Unlike a partition, nothing is unreachable — the
+     machine just serves and generates traffic degraded. *)
+  mutable delay_factor : float;
+  mutable gray_loss : float;
 }
 
 (* Per-directed-link fault injection (the nemesis hooks): extra one-way
@@ -19,19 +26,14 @@ type 'msg machine = {
    [src] to [dst]. *)
 type link_fault = { mutable extra_delay : Time.t; mutable loss : float }
 
-(* Per-machine gray-NIC state: a slow-but-alive NIC multiplies the flight
-   time of every packet entering or leaving the machine and adds a loss
-   probability on all of its links. Unlike a partition, nothing is
-   unreachable — the machine just serves and generates traffic degraded. *)
-type nic_gray = { mutable delay_factor : float; mutable gray_loss : float }
-
 type 'msg t = {
   engine : Engine.t;
   params : Params.t;
   rng : Rng.t;
   mutable machines : 'msg machine option array;
+  (* The two sparse fault tables are consulted only while non-empty, so a
+     fault-free run never hashes a link key. *)
   link_faults : (int * int, link_fault) Hashtbl.t;
-  gray_nics : (int, nic_gray) Hashtbl.t;
   blackholes : (int * int, unit) Hashtbl.t;
       (* directed dead links: (src, dst) present = packets src->dst vanish
          while dst->src traffic is untouched (asymmetric/partial partition) *)
@@ -44,7 +46,6 @@ let create engine ~params ~rng =
     rng;
     machines = Array.make 8 None;
     link_faults = Hashtbl.create 16;
-    gray_nics = Hashtbl.create 8;
     blackholes = Hashtbl.create 16;
   }
 
@@ -55,30 +56,43 @@ let set_link_fault ?(delay = Time.zero) ?(loss = 0.) t ~src ~dst =
 let clear_link_fault t ~src ~dst = Hashtbl.remove t.link_faults (src, dst)
 let clear_link_faults t = Hashtbl.reset t.link_faults
 
-let link_fault t ~src ~dst = Hashtbl.find_opt t.link_faults (src, dst)
+let link_fault t ~src ~dst =
+  if Hashtbl.length t.link_faults = 0 then None else Hashtbl.find_opt t.link_faults (src, dst)
+
+let get t id =
+  match if id >= 0 && id < Array.length t.machines then t.machines.(id) else None with
+  | Some m -> m
+  | None -> invalid_arg (Printf.sprintf "Fabric: unknown machine %d" id)
 
 let set_nic_gray ?(delay_factor = 1.) ?(loss = 0.) t ~machine =
   if delay_factor < 1. then invalid_arg "Fabric.set_nic_gray: delay_factor must be >= 1";
   if loss < 0. || loss > 1. then invalid_arg "Fabric.set_nic_gray: loss not in [0,1]";
-  Hashtbl.replace t.gray_nics machine { delay_factor; gray_loss = loss }
+  let m = get t machine in
+  m.delay_factor <- delay_factor;
+  m.gray_loss <- loss
 
-let clear_nic_gray t ~machine = Hashtbl.remove t.gray_nics machine
+let clear_nic_gray t ~machine = set_nic_gray t ~machine
 let set_blackhole t ~src ~dst = Hashtbl.replace t.blackholes (src, dst) ()
-let blackholed t ~src ~dst = Hashtbl.mem t.blackholes (src, dst)
+
+let blackholed t ~src ~dst =
+  Hashtbl.length t.blackholes > 0 && Hashtbl.mem t.blackholes (src, dst)
 
 let clear_gray_faults t =
-  Hashtbl.reset t.gray_nics;
+  Array.iter
+    (function
+      | Some m ->
+          m.delay_factor <- 1.;
+          m.gray_loss <- 0.
+      | None -> ())
+    t.machines;
   Hashtbl.reset t.blackholes
 
 (* Loss probability of one packet on the directed [src]->[dst] link: the
-   injected per-link loss combined with the gray-NIC loss of both
+   injected per-link loss [fault] combined with the gray-NIC loss of both
    endpoints (independent drop opportunities). *)
-let gray_of t id =
-  match Hashtbl.find_opt t.gray_nics id with Some g -> g.gray_loss | None -> 0.
-
-let link_loss t ~src ~dst =
-  let l = match link_fault t ~src ~dst with Some f -> f.loss | None -> 0. in
-  let gs = gray_of t src and gd = gray_of t dst in
+let link_loss t ~src ~dst fault =
+  let l = match fault with Some f -> f.loss | None -> 0. in
+  let gs = (get t src).gray_loss and gd = (get t dst).gray_loss in
   if gs = 0. && gd = 0. then l else 1. -. ((1. -. l) *. (1. -. gs) *. (1. -. gd))
 
 (* Sample the fate of one packet on the [src]->[dst] link.
@@ -92,16 +106,10 @@ let link_loss t ~src ~dst =
    surfaces as added latency — one retransmission timeout per lost attempt
    — never as an error. Only machine death and partitions fail a reliable
    operation. *)
-let get t id =
-  match if id >= 0 && id < Array.length t.machines then t.machines.(id) else None with
-  | Some m -> m
-  | None -> invalid_arg (Printf.sprintf "Fabric: unknown machine %d" id)
-
 let sample_link_ud t ~src ~dst =
-  let extra =
-    match link_fault t ~src ~dst with Some f -> f.extra_delay | None -> Time.zero
-  in
-  let loss = link_loss t ~src ~dst in
+  let fault = link_fault t ~src ~dst in
+  let extra = match fault with Some f -> f.extra_delay | None -> Time.zero in
+  let loss = link_loss t ~src ~dst fault in
   if loss > 0. && Rng.float t.rng < loss then begin
     Engine.emitf t.engine "net: drop %d->%d" src dst;
     let obs = (get t src).obs in
@@ -114,10 +122,9 @@ let sample_link_ud t ~src ~dst =
 let retransmit_timeout = Time.us 20
 
 let sample_link_rc t ~src ~dst =
-  let extra =
-    match link_fault t ~src ~dst with Some f -> f.extra_delay | None -> Time.zero
-  in
-  let loss = link_loss t ~src ~dst in
+  let fault = link_fault t ~src ~dst in
+  let extra = match fault with Some f -> f.extra_delay | None -> Time.zero in
+  let loss = link_loss t ~src ~dst fault in
   if loss = 0. then extra
   else begin
     let d = ref extra in
@@ -164,13 +171,16 @@ let add_machine ?obs t ~id ~cpu =
       alive = true;
       partition = 0;
       on_message = no_handler;
+      delay_factor = 1.;
+      gray_loss = 0.;
     }
   in
   t.machines.(id) <- Some m
 
 (* Re-register a machine after a restart: fresh NIC pipelines and CPU, back
    on the network. The obs sink survives by default — pre-crash events stay
-   in the flight-recorder ring. *)
+   in the flight-recorder ring — and so does a gray NIC (a hardware fault,
+   not process state). *)
 let reset_machine ?obs t ~id ~cpu =
   match if id >= 0 && id < Array.length t.machines then t.machines.(id) else None with
   | None -> invalid_arg "Fabric.reset_machine: unknown machine"
@@ -198,8 +208,7 @@ let params t = t.params
 
 let reachable t src dst =
   let a = get t src and b = get t dst in
-  a.alive && b.alive && a.partition = b.partition
-  && not (Hashtbl.mem t.blackholes (src, dst))
+  a.alive && b.alive && a.partition = b.partition && not (blackholed t ~src ~dst)
 
 let latency t =
   let j = Time.to_ns t.params.Params.fabric_jitter in
@@ -208,12 +217,9 @@ let latency t =
 (* Flight time of one leg on the directed [src]->[dst] link: the sampled
    fabric latency stretched by the gray-NIC delay factors of both
    endpoints (a degraded NIC slows its traffic in both directions). *)
-let gray_factor t id =
-  match Hashtbl.find_opt t.gray_nics id with Some g -> g.delay_factor | None -> 1.
-
 let leg_latency t ~src ~dst =
   let base = latency t in
-  let f = gray_factor t src *. gray_factor t dst in
+  let f = (get t src).delay_factor *. (get t dst).delay_factor in
   if f = 1. then base
   else Time.ns (int_of_float (Float.round (float_of_int (Time.to_ns base) *. f)))
 

@@ -85,7 +85,8 @@ val clear_link_faults : 'msg t -> unit
     blackholes compose into asymmetric and partial partitions. *)
 
 val set_nic_gray : ?delay_factor:float -> ?loss:float -> 'msg t -> machine:int -> unit
-(** Raises if [delay_factor < 1.] or [loss] outside [0,1]. *)
+(** Raises if [delay_factor < 1.], [loss] is outside [0,1] or [machine] is
+    unknown. A gray NIC survives {!reset_machine}. *)
 
 val clear_nic_gray : 'msg t -> machine:int -> unit
 val set_blackhole : 'msg t -> src:int -> dst:int -> unit

@@ -156,9 +156,10 @@ let txid_uniqueness () =
   (* low bounds advanced: truncation tracking saw unique monotone ids *)
   Array.iter
     (fun (st' : State.t) ->
-      Hashtbl.iter
-        (fun _ (t : State.trunc_track) ->
-          check_bool "low bound sane" true (t.State.low >= 0))
+      Array.iter
+        (Array.iter (function
+          | Some (t : State.trunc_track) -> check_bool "low bound sane" true (t.State.low >= 0)
+          | None -> ()))
         st'.State.truncated)
     c.Cluster.machines
 

@@ -50,10 +50,27 @@ let txid_ordering () =
   let a = Txid.make ~config:1 ~machine:2 ~thread:3 ~local:4 in
   let b = Txid.make ~config:1 ~machine:2 ~thread:3 ~local:5 in
   check_bool "ordered by local" true (Txid.compare a b < 0);
-  check_bool "equal" true (Txid.equal a a);
-  check_bool "coord key" true (Txid.coord_key a = (2, 3));
-  check_bool "coord id packs machine+thread" true
-    (Txid.coord_id a = Txid.coord_id b && Txid.coord_id a <> Txid.coord_id (Txid.make ~config:1 ~machine:2 ~thread:4 ~local:0))
+  check_bool "equal" true (Txid.equal a a)
+
+(* [Txid.Tbl]'s bucket order — and so recovery's iteration order — rests
+   on the hash staying the tuple hash it always was. *)
+let txid_hash () =
+  List.iter
+    (fun (config, machine, thread, local) ->
+      let t = Txid.make ~config ~machine ~thread ~local in
+      check_int
+        (Fmt.str "hash %a" Txid.pp t)
+        (Hashtbl.hash (config, machine, thread, local))
+        (Txid.hash t))
+    [ (0, 0, 0, 0); (1, 2, 3, 4); (7, 89, 11, 123_456); (3, 0, 5, max_int); (2, 1, 0, -1) ];
+  let rs = Random.State.make [| 7919 |] in
+  for _ = 1 to 10_000 do
+    let config = Random.State.int rs 50 and machine = Random.State.int rs 100 in
+    let thread = Random.State.int rs 16 and local = Random.State.bits rs in
+    let t = Txid.make ~config ~machine ~thread ~local in
+    if Txid.hash t <> Hashtbl.hash (config, machine, thread, local) then
+      Alcotest.failf "hash %a differs from the tuple hash" Txid.pp t
+  done
 
 let addr_map () =
   let a = Addr.make ~region:1 ~offset:64 in
@@ -267,7 +284,9 @@ let suites =
         test "cas" header_cas;
         test "data roundtrip" data_roundtrip;
       ] );
-    ("core.ids", [ test "txid ordering" txid_ordering; test "addr map" addr_map ]);
+    ( "core.ids",
+      [ test "txid ordering" txid_ordering; test "txid hash" txid_hash; test "addr map" addr_map ]
+    );
     ( "core.config",
       [
         test "backup cms" config_backup_cms;

@@ -127,6 +127,88 @@ let partition_blocks () =
   Fabric.set_partition fab 1 0;
   check_bool "healed" true (Fabric.reachable fab 0 1)
 
+(* {1 Fault tables: set and clear}
+
+   With no fault set, the fabric skips the link-fault and blackhole tables
+   and reads the per-machine gray state; these check that each fault takes
+   effect on its own link or machine only and that clearing it restores
+   the healthy timing exactly. *)
+
+(* Elapsed simulated time of one one-sided write [src]->[dst], run to
+   completion on an otherwise idle fabric without jitter. *)
+let write_time e fab ~src ~dst =
+  let took = ref None in
+  Proc.spawn e (fun () ->
+      let t0 = Proc.now () in
+      match Fabric.one_sided_write fab ~src ~dst ~bytes:64 (fun () -> ()) with
+      | Ok () -> took := Some (Time.to_ns (Time.sub (Proc.now ()) t0))
+      | Error _ -> took := Some (-1));
+  Engine.run e;
+  match !took with Some ns -> ns | None -> Alcotest.fail "write never completed"
+
+let no_jitter = { Params.default with Params.fabric_jitter = Time.zero }
+
+let link_fault_set_clear () =
+  let e, (fab : msg Fabric.t), _ = mk_fabric ~params:no_jitter () in
+  let base = write_time e fab ~src:0 ~dst:1 in
+  check_int "links are symmetric when healthy" base (write_time e fab ~src:0 ~dst:2);
+  Fabric.set_link_fault ~delay:(Time.us 10) fab ~src:0 ~dst:1;
+  check_int "faulty link delayed on the request leg" (base + 10_000)
+    (write_time e fab ~src:0 ~dst:1);
+  check_int "other link untouched" base (write_time e fab ~src:0 ~dst:2);
+  (* a 1->0 write's ack travels 0->1 *)
+  check_int "ack leg over the faulty link" (base + 10_000) (write_time e fab ~src:1 ~dst:0);
+  check_int "links not touching it untouched" base (write_time e fab ~src:1 ~dst:2);
+  Fabric.clear_link_fault fab ~src:0 ~dst:1;
+  check_int "cleared link healthy again" base (write_time e fab ~src:0 ~dst:1);
+  Fabric.set_link_fault ~delay:(Time.us 3) fab ~src:0 ~dst:1;
+  Fabric.set_link_fault ~delay:(Time.us 5) fab ~src:0 ~dst:2;
+  Fabric.clear_link_fault fab ~src:0 ~dst:1;
+  check_int "clearing one keeps the other" (base + 5_000) (write_time e fab ~src:0 ~dst:2);
+  Fabric.clear_link_faults fab;
+  check_int "clear all" base (write_time e fab ~src:0 ~dst:2)
+
+let blackhole_set_clear () =
+  let e, (fab : msg Fabric.t), _ = mk_fabric ~params:no_jitter () in
+  let base = write_time e fab ~src:0 ~dst:1 in
+  check_bool "none by default" false (Fabric.blackholed fab ~src:0 ~dst:1);
+  Fabric.set_blackhole fab ~src:0 ~dst:1;
+  check_bool "set" true (Fabric.blackholed fab ~src:0 ~dst:1);
+  check_bool "directed" false (Fabric.blackholed fab ~src:1 ~dst:0);
+  check_bool "request leg unreachable" false (Fabric.reachable fab 0 1);
+  check_bool "reverse reachable" true (Fabric.reachable fab 1 0);
+  check_int "write into the hole fails" (-1) (write_time e fab ~src:0 ~dst:1);
+  (* the ack of a 1->0 write travels 0->1, into the hole *)
+  check_int "ack into the hole fails" (-1) (write_time e fab ~src:1 ~dst:0);
+  check_int "other link untouched" base (write_time e fab ~src:0 ~dst:2);
+  Fabric.clear_gray_faults fab;
+  check_bool "cleared" false (Fabric.blackholed fab ~src:0 ~dst:1);
+  check_bool "reachable again" true (Fabric.reachable fab 0 1);
+  check_int "healthy again" base (write_time e fab ~src:0 ~dst:1)
+
+let gray_nic_set_clear () =
+  let e, (fab : msg Fabric.t), cpus = mk_fabric ~params:no_jitter () in
+  let base = write_time e fab ~src:0 ~dst:1 in
+  Fabric.set_nic_gray ~delay_factor:3. fab ~machine:1;
+  let slow = write_time e fab ~src:0 ~dst:1 in
+  (* request and ack legs each take 3x the wire latency instead of 1x *)
+  check_int "both legs through the gray NIC stretched"
+    (base + (2 * 2 * Time.to_ns no_jitter.Params.fabric_latency))
+    slow;
+  check_int "traffic away from it untouched" base (write_time e fab ~src:0 ~dst:2);
+  check_int "either direction" slow (write_time e fab ~src:2 ~dst:1);
+  Fabric.clear_nic_gray fab ~machine:1;
+  check_int "cleared" base (write_time e fab ~src:0 ~dst:1);
+  Fabric.set_nic_gray ~delay_factor:3. fab ~machine:1;
+  Fabric.reset_machine fab ~id:1 ~cpu:cpus.(1);
+  check_int "a gray NIC survives a restart" slow (write_time e fab ~src:0 ~dst:1);
+  Fabric.clear_gray_faults fab;
+  check_int "clear all" base (write_time e fab ~src:0 ~dst:1);
+  check_bool "unknown machine rejected" true
+    (match Fabric.set_nic_gray ~delay_factor:2. fab ~machine:7 with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
 let nic_pipelines_saturate () =
   let e = Engine.create () in
   let nic = Nic.create e ~params:Params.default in
@@ -209,6 +291,12 @@ let suites =
         test "call round trip" call_round_trip;
         test "call timeout" call_timeout;
         test "partition blocks" partition_blocks;
+      ] );
+    ( "net.faults",
+      [
+        test "link fault set/clear" link_fault_set_clear;
+        test "blackhole set/clear" blackhole_set_clear;
+        test "gray nic set/clear" gray_nic_set_clear;
       ] );
     ( "net.nic",
       [

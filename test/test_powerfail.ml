@@ -102,6 +102,41 @@ let single_machine_restart () =
   check_int "no spurious reconfiguration" cfg.Config.id
     (Cluster.machine c 0).State.config.Config.id
 
+(* A restarted machine keeps its sender-side logs — the very ring logs
+   stored at each receiver — and replaces its predecessor in the shared
+   directory, so a one-sided read at it reaches the new incarnation. *)
+let restart_keeps_logs_and_directory () =
+  let c = mk_cluster ~machines:5 ~seed:4 () in
+  Cluster.run_for c ~d:(Time.ms 5);
+  let victim = 3 in
+  let old = Cluster.machine c victim in
+  let n = Cluster.n_machines c in
+  let logs_before = Array.init n (fun dst -> State.log_to old dst) in
+  Cluster.kill c victim;
+  Cluster.run_for c ~d:(Time.ms 120);
+  let st = Cluster.restart_machine c victim ~config:(Cluster.machine c 0).State.config in
+  for dst = 0 to n - 1 do
+    let log = State.log_to st dst in
+    check_bool (Printf.sprintf "same log to %d" dst) true (log == logs_before.(dst));
+    check_int "sender" victim (Ringlog.sender log);
+    check_int "receiver" dst (Ringlog.receiver log);
+    check_bool "stored at the receiver" true
+      (Hashtbl.find (Cluster.machine c dst).State.nv.State.logs_in victim == log)
+  done;
+  check_bool "unknown destination rejected" true
+    (match State.log_to st n with _ -> false | exception Invalid_argument _ -> true);
+  let reader = Cluster.machine c 0 in
+  check_bool "directory slot overwritten" true
+    (match State.peer reader victim with Some p -> p == st | None -> false);
+  check_bool "unknown peer" true (State.peer reader n = None);
+  let seen =
+    Cluster.run_on c ~machine:0 (fun rd ->
+        Farm_net.Fabric.one_sided_read rd.State.fabric ~src:0 ~dst:victim ~bytes:64
+          (fun () -> State.peer rd victim))
+  in
+  check_bool "remote read reaches the new state" true
+    (match seen with Ok (Some p) -> p == st && p != old | _ -> false)
+
 let suites =
   [
     ( "powerfail",
@@ -109,5 +144,6 @@ let suites =
         test "power cycle under load" power_cycle_under_load;
         test "committed right before failure" committed_right_before_failure;
         test "single machine restart" single_machine_restart;
+        test "restart keeps logs and directory" restart_keeps_logs_and_directory;
       ] );
   ]

@@ -90,12 +90,76 @@ let truncation_tracking_compact () =
   (* at the primary, the tracker for coordinator (1,0) has advanced its low
      bound and keeps only a small set above it *)
   let st = Cluster.machine c r.Wire.primary in
-  let t =
-    State.trunc_track st
-      ~coord:(Txid.coord_id (Txid.make ~config:1 ~machine:1 ~thread:0 ~local:0))
-  in
+  let t = State.trunc_track st ~machine:1 ~thread:0 in
   check_bool "low bound advanced" true (t.State.low > 40);
   check_bool "above-set compact" true (Hashtbl.length t.State.above < 20)
+
+(* Truncation tracking against a model: per coordinator thread, the
+   truncated ids are every id marked plus every id below the highest low
+   bound seen. Coordinators are drawn from several machines and threads in
+   random order, so trackers are first created out of id order, and ids
+   are marked and bounds raised out of order too. *)
+type trunc_op = Mark of int * int * int | Raise of int * int * int | Query of int * int * int
+
+module Ids = Set.Make (Int)
+
+let trunc_op_gen ~machines ~threads =
+  QCheck.Gen.(
+    let* m = int_bound (machines - 1) and* th = int_bound (threads - 1) and* l = int_bound 40 in
+    oneofl [ Mark (m, th, l); Raise (m, th, l); Query (m, th, l) ])
+
+let pp_trunc_op = function
+  | Mark (m, th, l) -> Printf.sprintf "mark m%d t%d l%d" m th l
+  | Raise (m, th, l) -> Printf.sprintf "raise m%d t%d to %d" m th l
+  | Query (m, th, l) -> Printf.sprintf "query m%d t%d l%d" m th l
+
+let truncation_tracking_model =
+  let machines = 4 and threads = quick_params.Params.threads_per_machine in
+  QCheck.Test.make ~name:"truncation tracking matches a set model" ~count:200
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map pp_trunc_op ops))
+        Gen.(list_size (int_range 1 120) (trunc_op_gen ~machines ~threads)))
+    (fun ops ->
+      let st = Cluster.machine (mk_cluster ~machines ()) 2 in
+      let model = Hashtbl.create 16 in
+      let get m th = Option.value (Hashtbl.find_opt model (m, th)) ~default:(0, Ids.empty) in
+      let truncated m th l =
+        let low, marked = get m th in
+        l < low || Ids.mem l marked
+      in
+      let txid m th l = Txid.make ~config:1 ~machine:m ~thread:th ~local:l in
+      let agree m th l = State.is_truncated st (txid m th l) = truncated m th l in
+      let ok =
+        List.for_all
+          (function
+            | Mark (m, th, l) ->
+                State.mark_truncated st (txid m th l);
+                let low, marked = get m th in
+                Hashtbl.replace model (m, th) (low, Ids.add l marked);
+                true
+            | Raise (m, th, l) ->
+                State.update_low_bound st ~machine:m ~thread:th l;
+                let low, marked = get m th in
+                Hashtbl.replace model (m, th) (max low l, marked);
+                true
+            | Query (m, th, l) -> agree m th l)
+          ops
+      in
+      (* every coordinator and id agrees at the end, and each tracker keeps
+         only marked ids at or above its low bound *)
+      ok
+      && List.for_all
+           (fun m ->
+             List.for_all
+               (fun th ->
+                 let low, marked = get m th in
+                 let t = State.trunc_track st ~machine:m ~thread:th in
+                 t.State.low = low
+                 && Hashtbl.length t.State.above = Ids.cardinal (Ids.filter (fun l -> l >= low) marked)
+                 && List.for_all (fun l -> agree m th l) (List.init 45 Fun.id))
+               (List.init threads Fun.id))
+           (List.init machines Fun.id))
 
 (* Precise membership: an evicted-but-alive machine (healed partition)
    cannot commit transactions from its stale configuration, and its stale
@@ -205,6 +269,7 @@ let suites =
       [
         test "log space bounded" log_space_bounded;
         test "truncation tracking compact" truncation_tracking_compact;
+        QCheck_alcotest.to_alcotest truncation_tracking_model;
         test "evicted machine harmless" evicted_machine_is_harmless;
         test "config convergence" config_convergence;
         test "conservation fuzz" conservation_fuzz;
